@@ -50,7 +50,7 @@ class DecisionSet:
                 raise ConfigurationError("ball needs a center or an explicit dim")
             center = np.zeros(dim)
         center = np.asarray(center, dtype=float)
-        if np.linalg.norm(center) >= radius:
+        if _norm(center) >= radius:
             raise ConfigurationError("ball must contain the origin strictly")
         return DecisionSet(kind="ball", center=center, radius=float(radius))
 
@@ -71,21 +71,30 @@ class DecisionSet:
     @property
     def inner_radius(self) -> float:
         if self.kind == "ball":
-            return self.radius - float(np.linalg.norm(self.center))
+            return self.radius - _norm(self.center)
         return float(min(self.upper.min(), (-self.lower).min()))
 
     @property
     def outer_radius(self) -> float:
         if self.kind == "ball":
-            return self.radius + float(np.linalg.norm(self.center))
+            return self.radius + _norm(self.center)
         return float(np.sqrt(np.sum(np.maximum(self.upper, -self.lower) ** 2)))
 
     def contains(self, x, shrink: float = 0.0, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
         s = 1.0 - shrink
         if self.kind == "ball":
-            return np.linalg.norm(x - s * self.center) <= s * self.radius + tol
+            return _norm(x - s * self.center) <= s * self.radius + tol
         return bool(np.all(x >= s * self.lower - tol) and np.all(x <= s * self.upper + tol))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector.
+
+    The formula np.linalg.norm itself uses for such a vector, so the bits
+    agree, without its dispatch cost on the per-round paths.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def project(point, dset: DecisionSet, shrink: float = 0.0) -> np.ndarray:
@@ -101,7 +110,7 @@ def project(point, dset: DecisionSet, shrink: float = 0.0) -> np.ndarray:
         c = s * dset.center
         r = s * dset.radius
         diff = p - c
-        norm = np.linalg.norm(diff)
+        norm = _norm(diff)
         if norm <= r:
             return p.copy()
         return c + diff * (r / norm)
@@ -111,7 +120,7 @@ def project(point, dset: DecisionSet, shrink: float = 0.0) -> np.ndarray:
 def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         u = rng.standard_normal(d)
-        norm = np.linalg.norm(u)
+        norm = _norm(u)
         if norm > 1e-12:
             return u / norm
 
@@ -260,7 +269,8 @@ def tsallis_weights(lhat: np.ndarray, eta: float, *, method: str = "newton",
     k = lhat.size
     if k == 1:
         return np.ones(1)
-    lmin = lhat.min()
+    values = lhat.tolist()
+    lmin = min(values)
     inv_eta2 = 1.0 / (eta * eta)
 
     def residual(z):
@@ -288,24 +298,22 @@ def tsallis_weights(lhat: np.ndarray, eta: float, *, method: str = "newton",
                     f"bracket=({lo}, {hi})"
                 )
     elif method == "newton":
-        z = _tsallis_newton(lhat, eta, lmin, inv_eta2, tol, max_iter)
+        z = _tsallis_newton(values, eta, lmin, inv_eta2, tol, max_iter)
     else:
         raise ConfigurationError(f"unknown root-find method {method!r}")
 
-    q = lhat - z
-    w = 4.0 * inv_eta2 / (q * q)
-    total = w.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-9:
+    w, total = _tsallis_unnormalized(values, z, inv_eta2)
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise NumericalError(f"weight normalization residual too large: {total - 1.0:.3e}")
-    return w / total
+    return np.array([x / total for x in w])
 
 
-def _tsallis_newton(lhat, eta, lmin, inv_eta2, tol, max_iter, z0=None):
+def _tsallis_newton(values, eta, lmin, inv_eta2, tol, max_iter, z0=None):
     # Start left of the root (residual < 0 there); Newton overshoots once,
     # then descends monotonically.  Iterates are clamped below lmin where
-    # the residual has its pole.  Scalar arithmetic: arm counts are small
-    # enough that numpy per-op overhead dominates the vectorized version.
-    values = lhat.tolist()
+    # the residual has its pole.  Scalar arithmetic over a list of floats:
+    # arm counts are small enough that numpy per-op overhead dominates the
+    # vectorized version.
     z = z0 if z0 is not None and z0 < lmin else lmin - 2.0 * math.sqrt(len(values)) / eta
     scale = 4.0 * inv_eta2
     h = None
@@ -326,6 +334,44 @@ def _tsallis_newton(lhat, eta, lmin, inv_eta2, tol, max_iter, z0=None):
     if h is None or abs(h) > 1e-9:
         raise NumericalError("Newton root-find for sampling weights did not converge")
     return z
+
+
+def _tsallis_unnormalized(values, z, inv_eta2):
+    """Weights 4 / (eta^2 (v - z)^2) and their sum, as floats.
+
+    Bit-identical to ``w = 4.0 * inv_eta2 / (q * q)`` with ``q = lhat - z``
+    and ``w.sum()``: the same per-element operations, summed in NumPy's order.
+    """
+    scale = 4.0 * inv_eta2
+    w = [scale / ((v - z) * (v - z)) for v in values]
+    return w, _pairwise_sum(w, 0, len(w))
+
+
+def _pairwise_sum(values, lo, n):
+    """Sum of values[lo:lo + n] in the order of float64 ``ndarray.sum``.
+
+    A port of NumPy's pairwise_sum: left to right below 8 terms; up to 128,
+    eight interleaved partial sums combined as a tree plus the remainder;
+    above, the two halves (the first a multiple of 8 long) recursively.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = values[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
 
 
 class TsallisInf:
@@ -349,26 +395,33 @@ class TsallisInf:
     def eta(self) -> float:
         return 2.0 / math.sqrt(self.t)
 
-    def weights(self) -> np.ndarray:
+    def weights(self) -> list[float]:
         if self.k == 1:
-            return np.ones(1)
+            return [1.0]
         eta = self.eta()
-        lmin = self.lhat.min()
+        values = self.lhat.tolist()
         inv_eta2 = 1.0 / (eta * eta)
-        z = _tsallis_newton(self.lhat, eta, lmin, inv_eta2, 1e-12, 200, z0=self._z)
+        z = _tsallis_newton(values, eta, min(values), inv_eta2, 1e-12, 200, z0=self._z)
         self._z = z
-        q = self.lhat - z
-        w = 4.0 * inv_eta2 / (q * q)
-        return w / w.sum()
+        w, total = _tsallis_unnormalized(values, z, inv_eta2)
+        return [x / total for x in w]
 
     def sample(self) -> tuple[int, float]:
-        """Draw an arm from the current weights; returns (arm, probability)."""
-        w = self.weights()
+        """Draw an arm from the current weights; returns (arm, probability).
+
+        The arm is the first whose running left-to-right sum of weights
+        reaches a uniform draw (the last arm if rounding leaves none).
+        """
         if self.k == 1:
             return 0, 1.0
-        arm = int(np.searchsorted(np.cumsum(w), self.rng.random()))
-        arm = min(arm, self.k - 1)
-        return arm, float(w[arm])
+        probs = self.weights()
+        u = self.rng.random()
+        cum = 0.0
+        for arm, p in enumerate(probs):
+            cum += p
+            if cum >= u:
+                return arm, p
+        return self.k - 1, probs[-1]
 
     def update(self, arm: int, observed_loss: float, probability: float):
         if probability <= 0:
@@ -402,6 +455,10 @@ class LilUcb:
     starve an arm that drew badly on its single bootstrap pull.  Stops once
     some arm's count reaches 1 + lam * (pulls of all other arms); the stopped
     flag never resets.
+
+    counts and sums are plain lists, read and written per pull.  The width
+    depends on the pull count alone, so it is looked up in a table of
+    _width(1..N), rebuilt at double the size when a count outgrows it.
     """
 
     def __init__(self, n_arms: int, gamma: float, variance_proxy: float,
@@ -416,8 +473,9 @@ class LilUcb:
         self.gamma = gamma
         self.proxy = variance_proxy
         self.params = params or LilUcbParams()
-        self.counts = np.zeros(n_arms, dtype=np.int64)
-        self.sums = np.zeros(n_arms)
+        self.counts = [0] * n_arms
+        self.sums = [0.0] * n_arms
+        self._widths: list[float] = []
         self.stopped = n_arms == 1
         self.best = 0 if n_arms == 1 else None
 
@@ -433,34 +491,49 @@ class LilUcb:
             )
         return np.where(inner < self.gamma, np.inf, width)
 
+    def _width_table(self, top: int) -> list[float]:
+        """_width(n) for n = 1..N, N >= top, as floats."""
+        if top > len(self._widths):
+            size = max(2 * len(self._widths), 64)
+            while size < top:
+                size *= 2
+            self._widths = self._width(np.arange(1, size + 1)).tolist()
+        return self._widths
+
     def select(self) -> int:
-        """Next arm to pull: bootstrap order first, then the UCB argmax."""
+        """Next arm to pull: bootstrap order first, then the UCB argmax
+        (the first arm on ties)."""
         if self.stopped:
             raise ContractViolation("select() after the learner stopped")
-        unexplored = np.flatnonzero(self.counts == 0)
-        if unexplored.size:
-            return int(unexplored[0])
-        index = self.sums / self.counts + self._width(self.counts)
-        return int(np.argmax(index))
+        counts, sums = self.counts, self.sums
+        if 0 in counts:
+            return counts.index(0)
+        widths = self._width_table(max(counts))
+        best, best_index = 0, -math.inf
+        for arm, n in enumerate(counts):
+            index = sums[arm] / n + widths[n - 1]
+            if index > best_index:
+                best, best_index = arm, index
+        return best
 
     def update(self, arm: int, reward: float):
         if self.stopped:
             raise ContractViolation("update() after the learner stopped")
-        self.counts[arm] += 1
+        counts = self.counts
+        counts[arm] += 1
         self.sums[arm] += float(reward)
-        if np.all(self.counts > 0):
-            total = int(self.counts.sum())
-            leader = int(np.argmax(self.counts))
-            if self.counts[leader] >= 1 + self.params.lam_lil * (total - self.counts[leader]):
+        if 0 not in counts:
+            lead = max(counts)
+            if lead >= 1 + self.params.lam_lil * (sum(counts) - lead):
                 self.stopped = True
-                self.best = leader
+                self.best = counts.index(lead)
 
     def force_stop(self):
         """Stop at a horizon cap; the arm with the most pulls is reported."""
         if not self.stopped:
             self.stopped = True
-            self.best = int(np.argmax(self.counts))
+            self.best = self.counts.index(max(self.counts))
 
     @property
     def total_pulls(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)

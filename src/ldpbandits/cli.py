@@ -78,6 +78,8 @@ def suite(ids, jobs):
         results = suites.run_suite(ids or ("all",), n_jobs=jobs)
     except KeyError as exc:
         raise click.UsageError(str(exc))
+    except ModuleNotFoundError as exc:
+        raise click.ClickException(str(exc))
     failed = [r for r in results if not r.passed]
     for result in results:
         click.echo(result.report_line())

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
+from .blackbox import _norm
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .mechanisms import PrivacyParams, symmetric_gaussian_matrix
 
@@ -210,12 +212,12 @@ def linear_local_report(x, y: float, sigma: float,
                         rng: np.random.Generator) -> LocalReport:
     """(x x^T + B, y x + xi) with symmetric Gaussian B and xi ~ N(0, sigma^2 I)."""
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) > 1.0 + 1e-9:
+    if _norm(x) > 1.0 + 1e-9:
         raise ContractViolation("context norm exceeds 1")
     if abs(y) > 2.0 + 1e-9:
         raise ContractViolation("linear reward outside [-2, 2]")
     d = x.size
-    gram = np.outer(x, x)
+    gram = x[:, None] * x  # np.outer's product without its wrapper
     moment = y * x
     if sigma > 0.0:
         gram = gram + symmetric_gaussian_matrix(d, sigma, rng)
@@ -229,13 +231,13 @@ def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
     grad = (g(z) - y) x and r ~ N(0, C^2 sigma^2 I)."""
     x = np.asarray(x, dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if np.linalg.norm(x) > 1.0 + 1e-9:
+    if _norm(x) > 1.0 + 1e-9:
         raise ContractViolation("context norm exceeds 1")
-    if np.linalg.norm(theta_hat) > 1.0 + 1e-9:
+    if _norm(theta_hat) > 1.0 + 1e-9:
         raise ContractViolation("rough estimate left the unit ball")
     d = x.size
     z = float(x @ theta_hat)
-    gram = np.outer(x, x)
+    gram = x[:, None] * x
     moment = z * x
     grad = (link.g(z) - y) * x
     if sigma > 0.0:
@@ -246,7 +248,7 @@ def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
 
 
 def project_unit_ball(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     return v if norm <= 1.0 else v / norm
 
 
@@ -290,9 +292,26 @@ class ServerState:
         self.u = self.u + report.moment
         self.reg = self._regularize(self.conf.c(self.t))
         try:
-            self.theta_tilde = np.linalg.solve(self.reg, self.u)
+            self.theta_tilde = _solve(self.reg, self.u)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - floor prevents this
             raise NumericalError(f"regularized solve failed at t={self.t}: {exc}")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float64 (d, d) matrix and a float64 (d,) or
+    (d, k) right-hand side, raising np.linalg.LinAlgError when a is singular.
+
+    It calls the LAPACK gufunc that np.linalg.solve dispatches to, so the
+    result has the same bits, but skips the per-call type dispatch that is
+    most of np.linalg.solve's cost at d = 3.
+    """
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    try:
+        # The gufunc raises the invalid flag for a singular a, and only then.
+        with np.errstate(invalid="raise"):
+            return gufunc(a, b, signature="dd->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
 
 
 def _optimistic_argmax(theta: np.ndarray, reg: np.ndarray, beta: float,
@@ -302,14 +321,14 @@ def _optimistic_argmax(theta: np.ndarray, reg: np.ndarray, beta: float,
     if float(np.einsum("kd,kd->k", arms, arms).max()) > 1.0 + 3e-9:
         raise ContractViolation("arm norms must be <= 1")
     try:
-        solved = np.linalg.solve(reg, arms.T)
+        solved = _solve(reg, arms.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized matrix not invertible: {exc}")
     quad = np.einsum("kd,dk->k", arms, solved)
     if float(quad.min()) < -1e-10:
         raise NumericalError("regularized matrix lost positive definiteness")
     index = arms @ theta + beta * np.sqrt(np.maximum(quad, 0.0))
-    return int(np.argmax(index))
+    return int(index.argmax())
 
 
 def linear_select_action(server: ServerState, arms) -> int:

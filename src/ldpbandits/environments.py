@@ -96,9 +96,8 @@ class AdversarialMab:
         block = max(horizon // n_blocks, 1)
         table = np.full((horizon, n_arms), off_loss)
         table[:, 0] = anchor_loss
-        for t in range(horizon):
-            winner = 1 + (min(t // block, n_blocks - 1) % (n_arms - 1))
-            table[t, winner] = dip_loss
+        t = np.arange(horizon)
+        table[t, 1 + np.minimum(t // block, n_blocks - 1) % (n_arms - 1)] = dip_loss
         return AdversarialMab(table)
 
 
@@ -182,7 +181,7 @@ def sample_unit_ball(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n points uniform in the d-dimensional unit ball (normalized Gaussian
     directions with the radial correction U^(1/d))."""
     g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1)[:, None]
+    g /= np.sqrt((g * g).sum(axis=1))[:, None]  # np.linalg.norm(g, axis=1)'s formula
     radii = rng.random(n) ** (1.0 / d)
     return g * radii[:, None]
 
@@ -221,7 +220,7 @@ class ContextualEnv:
     def step(self, t: int) -> ContextualRound:
         arms = sample_unit_ball(self.k, self.d, self.rng)
         scores = arms @ self.theta_star
-        best = int(np.argmax(scores))
+        best = int(scores.argmax())
         return ContextualRound(arms=arms, best_arm=best,
                                best_value=self._mean_value(float(scores[best])))
 

@@ -21,6 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -520,6 +521,17 @@ def default_jobs() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def _map_replications(fn, args, n_jobs: int | None) -> list:
+    """[fn(a) for a in args], over a process pool when n_jobs > 1 and there
+    is more than one call; results are always in the order of args."""
+    n_jobs = default_jobs() if n_jobs is None else max(int(n_jobs), 1)
+    args = list(args)
+    if n_jobs > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]
+
+
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RegretTrace:
     """Execute all replications and assemble the per-checkpoint regret trace.
 
@@ -530,13 +542,8 @@ def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> Regre
     if config.algorithm == "bai":
         raise ConfigurationError("BAI runs produce identification results; use run_bai")
     start = time.perf_counter()
-    n_jobs = default_jobs() if n_jobs is None else max(int(n_jobs), 1)
-    reps = range(config.replications)
-    if n_jobs > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run_replication, [config] * config.replications, reps))
-    else:
-        rows = [run_replication(config, rep) for rep in reps]
+    rows = _map_replications(partial(run_replication, config), range(config.replications),
+                             n_jobs)
     per_replication = np.vstack(rows)
     return RegretTrace(
         checkpoints=checkpoint_grid(config.horizon, config.checkpoints),
@@ -551,13 +558,8 @@ def run_bai(config: ExperimentConfig, n_jobs: int | None = None) -> dict:
     if config.algorithm != "bai":
         raise ConfigurationError("run_bai requires a bai config")
     start = time.perf_counter()
-    n_jobs = default_jobs() if n_jobs is None else max(int(n_jobs), 1)
-    reps = range(config.replications)
-    if n_jobs > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run_replication, [config] * config.replications, reps))
-    else:
-        rows = [run_replication(config, rep) for rep in reps]
+    rows = _map_replications(partial(run_replication, config), range(config.replications),
+                             n_jobs)
     pulls = np.array([row["pulls"] for row in rows])
     return {
         "config_digest": config.digest(),

@@ -107,26 +107,26 @@ def perturb_vector(v: np.ndarray, spec: NoiseSpec, rng: np.random.Generator) -> 
 
 
 @lru_cache(maxsize=None)
-def _triu_indices(d: int):
+def _mirror_index(d: int) -> np.ndarray:
+    """(d, d) positions into the row-major upper triangle's draws: entries
+    (i, j) and (j, i) both read the draw of cell (min(i, j), max(i, j))."""
     rows, cols = np.triu_indices(d)
-    return rows, cols
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return index
 
 
 def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """A d x d matrix with i.i.d. N(0, sigma^2) upper triangle mirrored exactly.
 
-    Entries (i, j) for i <= j are drawn independently; (j, i) is set to the
-    same float, so the result is symmetric bit-for-bit.
+    Entries (i, j) for i <= j are drawn independently, in row-major order;
+    (j, i) is set to the same float, so the result is symmetric bit-for-bit.
     """
     if d < 1:
         raise CalibrationError(f"dimension must be >= 1, got {d}")
-    m = np.zeros((d, d))
     if sigma == 0.0:
-        return m
-    iu = _triu_indices(d)
-    m[iu] = rng.normal(0.0, sigma, size=iu[0].size)
-    m.T[iu] = m[iu]
-    return m
+        return np.zeros((d, d))
+    return rng.normal(0.0, sigma, size=d * (d + 1) // 2)[_mirror_index(d)]
 
 
 def derive_rng(base_seed: int, *labels) -> np.random.Generator:

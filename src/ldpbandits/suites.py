@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import contextual as ctx
 from .blackbox import DecisionSet, FkmBandit, TwoPointBandit
-from .harness import ExperimentConfig, default_jobs, fit_slope, run_bai, run_experiment
+from .harness import ExperimentConfig, _map_replications, fit_slope, run_bai, run_experiment
 from .mechanisms import (
     PrivacyParams,
     calibrate_gaussian,
@@ -287,13 +286,7 @@ def _coverage_replication(rep: int) -> tuple[int, int]:
 def criterion_8(n_jobs=None) -> CriterionResult:
     start = time.perf_counter()
     config = ExperimentConfig.from_dict(COVERAGE_DOC)
-    n_jobs = default_jobs() if n_jobs is None else max(int(n_jobs), 1)
-    reps = range(config.replications)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            counts = list(pool.map(_coverage_replication, reps))
-    else:
-        counts = [_coverage_replication(rep) for rep in reps]
+    counts = _map_replications(_coverage_replication, range(config.replications), n_jobs)
     hits = sum(c for c, _ in counts)
     total = sum(n for _, n in counts)
     fraction = hits / total
@@ -371,9 +364,24 @@ def criterion_9(n_jobs=None) -> CriterionResult:
 # 10: formula exactness against a high-precision oracle
 
 
-def criterion_10(n_jobs=None) -> CriterionResult:
-    import mpmath
+def _mpmath():
+    """The oracle's arbitrary-precision library, imported on first use.
 
+    mpmath comes with the 'test' extra only, so a plain install reports how
+    to get it instead of failing inside the criterion.
+    """
+    try:
+        import mpmath
+    except ModuleNotFoundError as exc:
+        raise ModuleNotFoundError(
+            "criterion 10 needs mpmath, which the 'test' extra installs: "
+            "pip install 'ldpbandits[test]'", name="mpmath",
+        ) from exc
+    return mpmath
+
+
+def criterion_10(n_jobs=None) -> CriterionResult:
+    mpmath = _mpmath()
     mpmath.mp.dps = 50
     start = time.perf_counter()
     rng = np.random.default_rng(90_771)
@@ -542,4 +550,6 @@ def run_suite(ids=("all",), n_jobs=None) -> list[CriterionResult]:
         unknown = [cid for cid in selected if cid not in CRITERIA]
         if unknown:
             raise KeyError(f"unknown criterion ids {unknown}; valid: 1..12 or 'all'")
+    if 10 in selected:
+        _mpmath()  # fail before the long criteria run, not after
     return [CRITERIA[cid](n_jobs=n_jobs) for cid in selected]

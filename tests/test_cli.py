@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: run, slope, suite plumbing, env-var override."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -95,3 +96,11 @@ def test_suite_runs_fast_criteria(runner):
 def test_suite_unknown_id(runner):
     result = runner.invoke(main, ["suite", "99"])
     assert result.exit_code != 0
+
+
+def test_suite_without_mpmath_names_the_test_extra(runner, monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # import mpmath now fails
+    result = runner.invoke(main, ["suite", "10"])
+    assert result.exit_code == 1
+    assert "'test' extra" in result.output
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback

@@ -84,6 +84,19 @@ class TestAdversarialMab:
         # arm 0 is still the best arm in hindsight
         assert env.best_arm == 0
 
+    @pytest.mark.parametrize("n_arms,horizon,n_blocks", [
+        (5, 1000, 10), (5, 997, 10), (3, 7, 10), (2, 1, 4), (4, 123, 7),
+    ])
+    def test_switching_matches_loop_definition(self, n_arms, horizon, n_blocks):
+        block = max(horizon // n_blocks, 1)
+        table = np.full((horizon, n_arms), 0.65)
+        table[:, 0] = 0.45
+        for t in range(horizon):
+            table[t, 1 + (min(t // block, n_blocks - 1) % (n_arms - 1))] = 0.44
+        env = AdversarialMab.switching(n_arms, horizon, anchor_loss=0.45, dip_loss=0.44,
+                                       off_loss=0.65, n_blocks=n_blocks)
+        assert env.table.tobytes() == table.tobytes()
+
     def test_switching_bounds(self):
         env = AdversarialMab.switching(5, 500)
         assert np.all((env.table >= 0) & (env.table <= 1))
