@@ -22,7 +22,6 @@ from .contextual import (
     LinkFunction,
     LocalReport,
     ServerState,
-    ellipsoid_coverage_check,
     glm_local_report,
     glm_select_action,
     glm_server_update,
@@ -68,6 +67,8 @@ from .mechanisms import (
     symmetric_gaussian_matrix,
 )
 from .reductions import (
+    LdpBaiLearner,
+    LdpMabLearner,
     OnePointConfig,
     PerturbedValue,
     TwoPointConfig,
@@ -76,8 +77,6 @@ from .reductions import (
     one_point_sigma,
     two_point_round,
     two_point_sigma,
-    wrap_bai,
-    wrap_mab,
 )
 
 __version__ = "0.1.0"

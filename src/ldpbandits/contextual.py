@@ -357,20 +357,3 @@ def glm_server_update(server: ServerState, report: LocalReport,
     server._accumulate(report)
     server.theta_hat = project_unit_ball(server.theta_hat - zeta * report.gradient)
     return server
-
-
-def ellipsoid_coverage_check(trace, theta_star, betas) -> float:
-    """Fraction of recorded rounds with |theta_tilde - theta*|_{V}^2 <= beta^2.
-
-    trace is a sequence of (theta_tilde_t, V_t) pairs aligned with betas.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    betas = np.asarray(list(betas), dtype=float)
-    if len(trace) != betas.size:
-        raise ConfigurationError("trace and beta sequence lengths differ")
-    hits = 0
-    for (theta_t, v_t), beta in zip(trace, betas):
-        diff = np.asarray(theta_t, dtype=float) - theta_star
-        if float(diff @ v_t @ diff) <= beta * beta:
-            hits += 1
-    return hits / max(len(trace), 1)

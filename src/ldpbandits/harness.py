@@ -37,14 +37,14 @@ from .environments import (
 from .errors import ConfigurationError, ContractViolation
 from .mechanisms import PrivacyParams, derive_rng
 from .reductions import (
+    LdpBaiLearner,
+    LdpMabLearner,
     OnePointConfig,
     PerturbedValue,
     TwoPointConfig,
     effective_loss_bound,
     one_point_round,
     two_point_round,
-    wrap_bai,
-    wrap_mab,
 )
 
 ALGORITHMS = (
@@ -143,7 +143,7 @@ class ExperimentConfig:
             privacy=privacy,
             checkpoints=int(doc.get("checkpoints", 20)),
         )
-        _RUNNERS[config.algorithm].validate(config)
+        _ALGORITHMS[config.algorithm][0](config)
         return config
 
     @staticmethod
@@ -199,7 +199,19 @@ class SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# per-algorithm replication runners
+# per-algorithm setups and the round loop
+#
+# A setup takes (config, rep, record) and returns step(t), which plays round
+# t and returns its ground-truth loss or regret, and comparator(t), the
+# hindsight-best total loss over rounds 1..t that a checkpoint subtracts
+# from the accumulated total (0 where step already returns regret).
+# Steps look library calls up at call time (module globals such as
+# derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
+# them for timing wrappers sees every call.
+
+
+def _no_comparator(t: int) -> float:
+    return 0.0
 
 
 def _bco_set_and_oracle(config: ExperimentConfig):
@@ -227,70 +239,56 @@ def _bco_set_and_oracle(config: ExperimentConfig):
     return dset, oracle
 
 
-class _TwoPointRunner:
-    @staticmethod
-    def validate(config):
-        _bco_set_and_oracle(config)
-        _check_keys(config.algorithm_params, ("mode", "eta", "rho", "xi"), "algorithm_params")
-        if config.algorithm_params.get("mode", "convex") not in ("convex", "strongly_convex"):
-            raise ConfigurationError("two-point mode must be convex or strongly_convex")
-
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int) -> np.ndarray:
-        dset, oracle = _bco_set_and_oracle(config)
-        params = config.algorithm_params
-        t_config = TwoPointConfig.for_horizon(
-            config.privacy, oracle.lipschitz, config.horizon, dset.inner_radius,
-            eta=params.get("eta"), rho=params.get("rho"), xi=params.get("xi"),
-        )
-        mu = oracle.mu if params.get("mode", "convex") == "strongly_convex" else 0.0
-        learner = TwoPointBandit(
-            dset, t_config.eta, t_config.rho, t_config.xi,
-            derive_rng(config.base_seed, rep, "learner"), mu=mu,
-        )
-        noise_rng = derive_rng(config.base_seed, rep, "noise")
-        grid = checkpoint_grid(config.horizon, config.checkpoints)
-        marks = set(int(c) for c in grid)
-        acc = RegretAccumulator()
-        out = []
-        for t in range(1, config.horizon + 1):
-            result = two_point_round(learner, lambda x: oracle.value(t, x), t_config, noise_rng)
-            acc.add(0.5 * (result.true_loss_1 + result.true_loss_2))
-            if t in marks:
-                _, best = oracle.optimum(t)
-                out.append(acc.total - best)
-        return np.asarray(out)
+def _two_point_validate(config: ExperimentConfig):
+    _bco_set_and_oracle(config)
+    _check_keys(config.algorithm_params, ("mode", "eta", "rho", "xi"), "algorithm_params")
+    if config.algorithm_params.get("mode", "convex") not in ("convex", "strongly_convex"):
+        raise ConfigurationError("two-point mode must be convex or strongly_convex")
 
 
-class _OnePointRunner:
-    @staticmethod
-    def validate(config):
-        _bco_set_and_oracle(config)
-        _check_keys(config.algorithm_params, ("eta", "rho", "xi"), "algorithm_params")
+def _two_point_setup(config: ExperimentConfig, rep: int, record):
+    dset, oracle = _bco_set_and_oracle(config)
+    params = config.algorithm_params
+    t_config = TwoPointConfig.for_horizon(
+        config.privacy, oracle.lipschitz, config.horizon, dset.inner_radius,
+        eta=params.get("eta"), rho=params.get("rho"), xi=params.get("xi"),
+    )
+    mu = oracle.mu if params.get("mode", "convex") == "strongly_convex" else 0.0
+    learner = TwoPointBandit(
+        dset, t_config.eta, t_config.rho, t_config.xi,
+        derive_rng(config.base_seed, rep, "learner"), mu=mu,
+    )
+    noise_rng = derive_rng(config.base_seed, rep, "noise")
 
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int) -> np.ndarray:
-        dset, oracle = _bco_set_and_oracle(config)
-        params = config.algorithm_params
-        o_config = OnePointConfig(privacy=config.privacy, loss_bound=oracle.bound)
-        bound = effective_loss_bound(oracle.bound, o_config.sigma, config.horizon)
-        eta, rho, xi = FkmBandit.default_parameters(dset, config.horizon, bound)
-        eta = params.get("eta", eta)
-        rho = params.get("rho", rho)
-        xi = params.get("xi", xi)
-        learner = FkmBandit(dset, eta, rho, xi, derive_rng(config.base_seed, rep, "learner"))
-        noise_rng = derive_rng(config.base_seed, rep, "noise")
-        grid = checkpoint_grid(config.horizon, config.checkpoints)
-        marks = set(int(c) for c in grid)
-        acc = RegretAccumulator()
-        out = []
-        for t in range(1, config.horizon + 1):
-            result = one_point_round(learner, lambda x: oracle.value(t, x), o_config, noise_rng)
-            acc.add(result.true_loss)
-            if t in marks:
-                _, best = oracle.optimum(t)
-                out.append(acc.total - best)
-        return np.asarray(out)
+    def step(t):
+        result = two_point_round(learner, lambda x: oracle.value(t, x), t_config, noise_rng)
+        return 0.5 * (result.true_loss_1 + result.true_loss_2)
+
+    return step, lambda t: oracle.optimum(t)[1]
+
+
+def _one_point_validate(config: ExperimentConfig):
+    _bco_set_and_oracle(config)
+    _check_keys(config.algorithm_params, ("eta", "rho", "xi"), "algorithm_params")
+
+
+def _one_point_setup(config: ExperimentConfig, rep: int, record):
+    dset, oracle = _bco_set_and_oracle(config)
+    params = config.algorithm_params
+    o_config = OnePointConfig(privacy=config.privacy, loss_bound=oracle.bound)
+    bound = effective_loss_bound(oracle.bound, o_config.sigma, config.horizon)
+    eta, rho, xi = FkmBandit.default_parameters(dset, config.horizon, bound)
+    eta = params.get("eta", eta)
+    rho = params.get("rho", rho)
+    xi = params.get("xi", xi)
+    learner = FkmBandit(dset, eta, rho, xi, derive_rng(config.base_seed, rep, "learner"))
+    noise_rng = derive_rng(config.base_seed, rep, "noise")
+
+    def step(t):
+        return one_point_round(learner, lambda x: oracle.value(t, x), o_config,
+                               noise_rng).true_loss
+
+    return step, lambda t: oracle.optimum(t)[1]
 
 
 def _mab_environment(config: ExperimentConfig, rep: int):
@@ -325,89 +323,76 @@ def _mab_environment(config: ExperimentConfig, rep: int):
     raise ConfigurationError(f"unknown MAB environment kind {kind!r}")
 
 
-class _MabRunner:
-    @staticmethod
-    def validate(config):
-        _mab_environment(config, 0)
-        _check_keys(config.algorithm_params, (), "algorithm_params")
-
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int) -> np.ndarray:
-        env = _mab_environment(config, rep)
-        learner = wrap_mab(
-            config.privacy, env.k,
-            derive_rng(config.base_seed, rep, "learner"),
-            derive_rng(config.base_seed, rep, "noise"),
-        )
-        grid = checkpoint_grid(config.horizon, config.checkpoints)
-        marks = set(int(c) for c in grid)
-        acc = RegretAccumulator()
-        out = []
-        stochastic = isinstance(env, StochasticMab)
-        if stochastic:
-            for t in range(1, config.horizon + 1):
-                arm = learner.propose()
-                learner.observe(env.sample(t, arm))
-                acc.add(env.instant_regret(arm))
-                if t in marks:
-                    out.append(acc.total)
-            return np.asarray(out)
-        # adversarial: regret against the best fixed arm for each prefix
-        cum_by_arm = np.zeros(env.k)
-        for t in range(1, config.horizon + 1):
-            arm = learner.propose()
-            loss = env.sample(t, arm)
-            learner.observe(loss)
-            acc.add(loss)
-            cum_by_arm += env.table[t - 1]
-            if t in marks:
-                out.append(acc.total - float(cum_by_arm.min()))
-        return np.asarray(out)
+def _mab_validate(config: ExperimentConfig):
+    _mab_environment(config, 0)
+    _check_keys(config.algorithm_params, (), "algorithm_params")
 
 
-class _BaiRunner:
-    @staticmethod
-    def validate(config):
-        env = config.environment
-        _check_keys(env, ("reward_means",), "environment")
-        if "reward_means" not in env or len(env["reward_means"]) < 1:
-            raise ConfigurationError("BAI needs reward_means")
-        _check_keys(
-            config.algorithm_params,
-            ("gamma", "max_pulls", "eps_lil", "beta_lil", "lam_lil"),
-            "algorithm_params",
-        )
+def _mab_setup(config: ExperimentConfig, rep: int, record):
+    """Stochastic: expected regret per round.  Adversarial: the loss itself,
+    less the best fixed arm's loss over each prefix at a checkpoint."""
+    env = _mab_environment(config, rep)
+    learner = LdpMabLearner(
+        config.privacy, env.k,
+        derive_rng(config.base_seed, rep, "learner"),
+        derive_rng(config.base_seed, rep, "noise"),
+    )
+    stochastic = isinstance(env, StochasticMab)
 
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int):
-        means = np.asarray(config.environment["reward_means"], dtype=float)
-        params = config.algorithm_params
-        gamma = float(params.get("gamma", 0.1))
-        max_pulls = int(params.get("max_pulls", config.horizon))
-        lil = LilUcbParams(
-            eps_lil=float(params.get("eps_lil", 0.01)),
-            beta_lil=float(params.get("beta_lil", 0.5)),
-            lam_lil=float(params.get("lam_lil", 9.0)),
-        )
-        env_rng = derive_rng(config.base_seed, rep, "environment")
-        learner = wrap_bai(config.privacy, means.size, gamma,
-                           derive_rng(config.base_seed, rep, "noise"), lil)
-        while not learner.stopped and learner.total_pulls < max_pulls:
-            arm = learner.select()
-            reward = float(env_rng.random() < means[arm])
-            learner.observe(arm, reward)
-        capped = not learner.stopped
-        learner.force_stop()
-        return {
-            "best": int(learner.best),
-            "true_best": int(np.argmax(means)),
-            "success": bool(learner.best == int(np.argmax(means))),
-            "pulls": learner.total_pulls,
-            "capped": capped,
-        }
+    def step(t):
+        arm = learner.propose()
+        loss = env.sample(t, arm)
+        learner.observe(loss)
+        return env.instant_regret(arm) if stochastic else loss
+
+    if stochastic:
+        return step, _no_comparator
+    best_prefix = np.cumsum(env.table, axis=0).min(axis=1)
+    return step, lambda t: float(best_prefix[t - 1])
 
 
-def _contextual_setup(config: ExperimentConfig, rep: int, glm: bool):
+def _bai_validate(config: ExperimentConfig):
+    env = config.environment
+    _check_keys(env, ("reward_means",), "environment")
+    if "reward_means" not in env or len(env["reward_means"]) < 1:
+        raise ConfigurationError("BAI needs reward_means")
+    _check_keys(
+        config.algorithm_params,
+        ("gamma", "max_pulls", "eps_lil", "beta_lil", "lam_lil"),
+        "algorithm_params",
+    )
+
+
+def _bai_replication(config: ExperimentConfig, rep: int) -> dict:
+    """lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
+    means = np.asarray(config.environment["reward_means"], dtype=float)
+    params = config.algorithm_params
+    gamma = float(params.get("gamma", 0.1))
+    max_pulls = int(params.get("max_pulls", config.horizon))
+    lil = LilUcbParams(
+        eps_lil=float(params.get("eps_lil", 0.01)),
+        beta_lil=float(params.get("beta_lil", 0.5)),
+        lam_lil=float(params.get("lam_lil", 9.0)),
+    )
+    env_rng = derive_rng(config.base_seed, rep, "environment")
+    learner = LdpBaiLearner(config.privacy, means.size, gamma,
+                            derive_rng(config.base_seed, rep, "noise"), lil)
+    while not learner.stopped and learner.total_pulls < max_pulls:
+        arm = learner.select()
+        reward = float(env_rng.random() < means[arm])
+        learner.observe(arm, reward)
+    capped = not learner.stopped
+    learner.force_stop()
+    return {
+        "best": int(learner.best),
+        "true_best": int(np.argmax(means)),
+        "success": bool(learner.best == int(np.argmax(means))),
+        "pulls": learner.total_pulls,
+        "capped": capped,
+    }
+
+
+def _contextual_setup(config: ExperimentConfig, rep: int, record, glm: bool):
     env_doc = config.environment
     _check_keys(env_doc, ("dim", "n_arms", "theta_star", "link"), "environment")
     d = int(env_doc["dim"])
@@ -416,14 +401,16 @@ def _contextual_setup(config: ExperimentConfig, rep: int, glm: bool):
     if theta_star is None:
         theta_star = np.zeros(d)
         theta_star[0] = 1.0
-    link = None
+    params = config.algorithm_params
+    _check_keys(params, ("alpha", "kappa", "zeta", "baseline_lambda"), "algorithm_params")
+    link = zeta = None
     if glm:
         link_name = env_doc.get("link", "logistic")
         if link_name != "logistic":
             raise ConfigurationError(f"unknown link {link_name!r}")
         link = ctx.logistic_link()
-    params = config.algorithm_params
-    _check_keys(params, ("alpha", "kappa", "zeta", "baseline_lambda"), "algorithm_params")
+        zeta = params.get("zeta")
+        zeta = 1.0 / math.sqrt(config.horizon) if zeta is None else float(zeta)
     alpha = float(params.get("alpha", 0.1))
     sigma = (ctx.glm_sigma if glm else ctx.linear_sigma)(config.privacy)
     if config.privacy is None:
@@ -437,81 +424,67 @@ def _contextual_setup(config: ExperimentConfig, rep: int, glm: bool):
                         derive_rng(config.base_seed, rep, "environment"), link=link)
     server = ctx.ServerState(d, conf)
     report_rng = derive_rng(config.base_seed, rep, "noise")
-    return env, server, sigma, report_rng, link, params
 
-
-class _ContextualLinearRunner:
-    @staticmethod
-    def validate(config):
-        _contextual_setup(config, 0, glm=False)
-
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int, trajectory=None) -> np.ndarray:
-        env, server, sigma, report_rng, _, _ = _contextual_setup(config, rep, glm=False)
-        grid = checkpoint_grid(config.horizon, config.checkpoints)
-        marks = set(int(c) for c in grid)
-        acc = RegretAccumulator()
-        out = []
-        for t in range(1, config.horizon + 1):
-            rnd = env.step(t)
-            arm = ctx.linear_select_action(server, rnd.arms)
-            x = rnd.arms[arm]
-            y = env.reward(x)
-            acc.add(env.instant_regret(rnd, arm))
-            ctx.linear_server_update(server, ctx.linear_local_report(x, y, sigma, report_rng))
-            if trajectory is not None:
-                beta = server.conf.beta_linear(t)
-                diff = server.theta_tilde - env.theta_star
-                contained = float(diff @ server.reg @ diff) <= beta * beta
-                trajectory.append((t, arm, y, server.theta_tilde.copy(), beta, contained))
-            if t in marks:
-                out.append(acc.total)
-        return np.asarray(out)
-
-
-class _ContextualGlmRunner:
-    @staticmethod
-    def validate(config):
-        _contextual_setup(config, 0, glm=True)
-
-    @staticmethod
-    def run(config: ExperimentConfig, rep: int, coverage=None) -> np.ndarray:
-        env, server, sigma, report_rng, link, params = _contextual_setup(config, rep, glm=True)
-        zeta = params.get("zeta")
-        zeta = 1.0 / math.sqrt(config.horizon) if zeta is None else float(zeta)
-        grid = checkpoint_grid(config.horizon, config.checkpoints)
-        marks = set(int(c) for c in grid)
-        acc = RegretAccumulator()
-        out = []
-        for t in range(1, config.horizon + 1):
-            rnd = env.step(t)
+    def step(t):
+        rnd = env.step(t)
+        if glm:
             arm = ctx.glm_select_action(server, rnd.arms, link)
-            x = rnd.arms[arm]
-            y = env.reward(x)
-            acc.add(env.instant_regret(rnd, arm))
+        else:
+            arm = ctx.linear_select_action(server, rnd.arms)
+        x = rnd.arms[arm]
+        y = env.reward(x)
+        regret = env.instant_regret(rnd, arm)
+        if glm:
             report = ctx.glm_local_report(x, y, server.theta_hat, link, sigma, report_rng)
             ctx.glm_server_update(server, report, zeta)
-            if coverage is not None:
-                beta = server.conf.beta_glm(t, link)
-                diff = server.theta_tilde - env.theta_star
-                coverage.append(float(diff @ server.reg @ diff) <= beta * beta)
-            if t in marks:
-                out.append(acc.total)
-        return np.asarray(out)
+        else:
+            ctx.linear_server_update(server, ctx.linear_local_report(x, y, sigma, report_rng))
+        if record is not None:
+            # is theta* in the round's confidence ellipsoid |theta - theta*|_V <= beta?
+            beta = conf.beta_glm(t, link) if glm else conf.beta_linear(t)
+            diff = server.theta_tilde - env.theta_star
+            contained = float(diff @ server.reg @ diff) <= beta * beta
+            record.append((t, arm, y, server.theta_tilde.copy(), beta, contained))
+        return regret
+
+    return step, _no_comparator
 
 
-_RUNNERS = {
-    "two_point_bco": _TwoPointRunner,
-    "one_point_bco": _OnePointRunner,
-    "mab": _MabRunner,
-    "bai": _BaiRunner,
-    "contextual_linear": _ContextualLinearRunner,
-    "contextual_glm": _ContextualGlmRunner,
+# algorithm -> (validation, setup); BAI's "setup" is its whole replication
+_ALGORITHMS = {
+    "two_point_bco": (_two_point_validate, _two_point_setup),
+    "one_point_bco": (_one_point_validate, _one_point_setup),
+    "mab": (_mab_validate, _mab_setup),
+    "bai": (_bai_validate, _bai_replication),
+    "contextual_linear": (partial(_contextual_setup, rep=0, record=None, glm=False),
+                          partial(_contextual_setup, glm=False)),
+    "contextual_glm": (partial(_contextual_setup, rep=0, record=None, glm=True),
+                       partial(_contextual_setup, glm=True)),
 }
 
 
-def run_replication(config: ExperimentConfig, rep: int):
-    return _RUNNERS[config.algorithm].run(config, rep)
+def run_replication(config: ExperimentConfig, rep: int, record: list | None = None):
+    """Run replication rep: the regret at each checkpoint (a BAI config
+    returns its identification result instead).
+
+    record, for the contextual algorithms only, receives one
+    (t, arm, reward, theta_tilde, beta, contained) row per round; it draws
+    from no random stream, so the regrets are the same with and without it.
+    """
+    setup = _ALGORITHMS[config.algorithm][1]
+    if config.algorithm == "bai":
+        return setup(config, rep)
+    if record is not None and not config.algorithm.startswith("contextual_"):
+        raise ConfigurationError(f"{config.algorithm} records no rounds")
+    step, comparator = setup(config, rep, record)
+    marks = set(int(c) for c in checkpoint_grid(config.horizon, config.checkpoints))
+    acc = RegretAccumulator()
+    out = []
+    for t in range(1, config.horizon + 1):
+        acc.add(step(t))
+        if t in marks:
+            out.append(acc.total - comparator(t))
+    return np.asarray(out)
 
 
 def default_jobs() -> int:

@@ -40,6 +40,21 @@ class PerturbedValue(float):
     """
 
 
+def _perturb(value: float, sigma: float, rng: np.random.Generator) -> PerturbedValue:
+    """value + N(0, sigma^2) behind the privacy barrier; sigma = 0 draws nothing."""
+    if sigma > 0.0:
+        return PerturbedValue(value + rng.normal(0.0, sigma))
+    return PerturbedValue(value)
+
+
+def _unit_report(raw: float, sigma: float, rng: np.random.Generator,
+                 what: str) -> PerturbedValue:
+    """A [0, 1] loss or reward recentred to [-1/2, 1/2] and perturbed."""
+    if not (-_BOUND_TOL <= raw <= 1.0 + _BOUND_TOL):
+        raise ContractViolation(f"{what} {raw} outside [0, 1]")
+    return _perturb(float(raw) - 0.5, sigma, rng)
+
+
 def one_point_sigma(privacy: PrivacyParams | None, loss_bound: float) -> float:
     """sigma = 2 B sqrt(2 ln(1.25/delta)) / epsilon; 0 in baseline mode."""
     if privacy is None:
@@ -147,10 +162,7 @@ def one_point_round(learner, loss_fn: Callable[[np.ndarray], float],
             f"loss {true_loss} exceeds declared bound {config.loss_bound}; "
             "noise calibration would be void"
         )
-    if config.sigma > 0.0:
-        feedback = PerturbedValue(true_loss + noise_rng.normal(0.0, config.sigma))
-    else:
-        feedback = PerturbedValue(true_loss)
+    feedback = _perturb(true_loss, config.sigma, noise_rng)
     learner.observe(feedback)
     return OnePointRound(action=action, true_loss=true_loss, feedback=feedback)
 
@@ -211,22 +223,10 @@ class LdpMabLearner:
     def observe(self, raw_loss: float):
         if self._pending is None:
             raise ContractViolation("observe() before propose()")
-        if not (-_BOUND_TOL <= raw_loss <= 1.0 + _BOUND_TOL):
-            raise ContractViolation(f"MAB loss {raw_loss} outside [0, 1]")
+        feedback = _unit_report(raw_loss, self.sigma, self.noise_rng, "MAB loss")
         arm, prob = self._pending
         self._pending = None
-        centered = float(raw_loss) - 0.5
-        if self.sigma > 0.0:
-            feedback = PerturbedValue(centered + self.noise_rng.normal(0.0, self.sigma))
-        else:
-            feedback = PerturbedValue(centered)
         self.inner.update(arm, feedback, prob)
-
-
-def wrap_mab(privacy: PrivacyParams | None, n_arms: int,
-             learner_rng: np.random.Generator,
-             noise_rng: np.random.Generator) -> LdpMabLearner:
-    return LdpMabLearner(privacy, n_arms, learner_rng, noise_rng)
 
 
 class LdpBaiLearner:
@@ -261,20 +261,8 @@ class LdpBaiLearner:
         return self.inner.select()
 
     def observe(self, arm: int, raw_reward: float):
-        if not (-_BOUND_TOL <= raw_reward <= 1.0 + _BOUND_TOL):
-            raise ContractViolation(f"BAI reward {raw_reward} outside [0, 1]")
-        centered = float(raw_reward) - 0.5
-        if self.sigma > 0.0:
-            feedback = PerturbedValue(centered + self.noise_rng.normal(0.0, self.sigma))
-        else:
-            feedback = PerturbedValue(centered)
-        self.inner.update(arm, feedback)
+        self.inner.update(arm, _unit_report(raw_reward, self.sigma, self.noise_rng,
+                                            "BAI reward"))
 
     def force_stop(self):
         self.inner.force_stop()
-
-
-def wrap_bai(privacy: PrivacyParams | None, n_arms: int, gamma: float,
-             noise_rng: np.random.Generator,
-             params: LilUcbParams | None = None) -> LdpBaiLearner:
-    return LdpBaiLearner(privacy, n_arms, gamma, noise_rng, params)

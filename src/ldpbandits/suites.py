@@ -22,7 +22,14 @@ import numpy as np
 
 from . import contextual as ctx
 from .blackbox import DecisionSet, FkmBandit, TwoPointBandit
-from .harness import ExperimentConfig, _map_replications, fit_slope, run_bai, run_experiment
+from .harness import (
+    ExperimentConfig,
+    _map_replications,
+    fit_slope,
+    run_bai,
+    run_experiment,
+    run_replication,
+)
 from .mechanisms import (
     PrivacyParams,
     calibrate_gaussian,
@@ -275,12 +282,10 @@ COVERAGE_DOC = {
 
 
 def _coverage_replication(rep: int) -> tuple[int, int]:
-    from .harness import _ContextualGlmRunner
-
-    config = ExperimentConfig.from_dict(COVERAGE_DOC)
-    flags: list[bool] = []
-    _ContextualGlmRunner.run(config, rep, coverage=flags)
-    return sum(flags), len(flags)
+    """(rounds whose ellipsoid contains theta*, rounds) for replication rep."""
+    rows: list[tuple] = []
+    run_replication(ExperimentConfig.from_dict(COVERAGE_DOC), rep, record=rows)
+    return sum(row[5] for row in rows), len(rows)
 
 
 def criterion_8(n_jobs=None) -> CriterionResult:

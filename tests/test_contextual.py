@@ -1,4 +1,4 @@
-"""Confidence formulas, local reports, server updates, and coverage checks."""
+"""Confidence formulas, local reports, server updates and action selection."""
 
 import math
 
@@ -8,13 +8,11 @@ import pytest
 
 from ldpbandits import (
     BaselineConfidence,
-    ConfigurationError,
     ContractViolation,
     LdpConfidence,
     PrivacyParams,
     ServerState,
     derive_rng,
-    ellipsoid_coverage_check,
     glm_local_report,
     glm_select_action,
     glm_server_update,
@@ -401,23 +399,6 @@ class TestSelectAction:
         server = ServerState(2, FixedConfidence(1.0))
         with pytest.raises(ContractViolation):
             linear_select_action(server, np.array([[2.0, 0.0]]))
-
-
-class TestCoverage:
-    def test_all_contained_with_wide_beta(self):
-        trace = [(np.zeros(2), np.eye(2)) for _ in range(10)]
-        betas = np.full(10, 10.0)
-        frac = ellipsoid_coverage_check(trace, np.array([0.5, 0.0]), betas)
-        assert frac == 1.0
-
-    def test_zero_beta_contains_nothing(self):
-        trace = [(np.zeros(2), np.eye(2)) for _ in range(10)]
-        frac = ellipsoid_coverage_check(trace, np.array([0.5, 0.0]), np.zeros(10))
-        assert frac == 0.0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ellipsoid_coverage_check([(np.zeros(2), np.eye(2))], np.zeros(2), np.zeros(3))
 
 
 class TestProjection:

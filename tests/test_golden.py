@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from ldpbandits import ExperimentConfig, emit, run_bai, run_experiment
+from ldpbandits.harness import run_replication, trajectory_csv
+from ldpbandits.suites import COVERAGE_DOC
 
 ROOT = Path(__file__).resolve().parent.parent
 HORIZON = 200
@@ -163,9 +165,83 @@ def test_golden_digest(name, tmp_path):
     assert emitted_digest(name, tmp_path) == GOLDEN[name]
 
 
+# The per-round record of the contextual algorithms: the trajectory CSVs of
+# small private linear and GLM runs, and the containment flags (one byte per
+# round, replications in order) of criterion 8's instance at a short horizon
+# and of a non-private GLM run.  Criterion 8's flags are all 1 at this horizon; the
+# non-private run's width misses theta* in most rounds, so its digest also
+# pins flags that read 0.
+_TRAJECTORY_DOC = {
+    "algorithm": "contextual_linear", "horizon": 50, "replications": 1,
+    "base_seed": 2, "environment": {"dim": 2, "n_arms": 3},
+    "privacy": {"epsilon": 1.0, "delta": 0.01},
+}
+TRAJECTORY_DOCS = {
+    "linear": _TRAJECTORY_DOC,
+    "glm": dict(_TRAJECTORY_DOC, algorithm="contextual_glm"),
+}
+TRAJECTORY_GOLDEN = {
+    "glm": "21b76415c53c2832e82e6afec809a83d7de93b7d5c3321b423412d0d3ec09deb",
+    "linear": "91a8feff5774c164c6c2091040b2ff336e6d48fbd183498088b84dee3ccdbdb5",
+}
+COVERAGE_DOCS = {
+    "criterion_8": dict(COVERAGE_DOC, horizon=300, replications=4),
+    "glm_baseline": {
+        "algorithm": "contextual_glm", "horizon": 300, "replications": 2,
+        "base_seed": 2, "environment": {"dim": 2, "n_arms": 3}, "privacy": None,
+    },
+}
+COVERAGE_GOLDEN = {
+    "criterion_8": "64bf4e7fe668627a965187e536da3baef5a3ae007bd0fd657421b3ff7bea9127",
+    "glm_baseline": "77d3addabd41b0bf6535c111e767aa8f2198c3baeeb167343ad303f49c7daab3",
+}
+
+
+def trajectory_digest(name: str, out_dir: Path) -> str:
+    rows = []
+    run_replication(ExperimentConfig.from_dict(TRAJECTORY_DOCS[name]), 0, record=rows)
+    path = trajectory_csv(rows, str(out_dir / "trajectory.csv"))
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def coverage_digest(name: str) -> str:
+    config = ExperimentConfig.from_dict(COVERAGE_DOCS[name])
+    digest = hashlib.sha256()
+    for rep in range(config.replications):
+        rows = []
+        run_replication(config, rep, record=rows)
+        digest.update(bytes(int(row[5]) for row in rows))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_GOLDEN))
+def test_trajectory_digest(name, tmp_path):
+    assert trajectory_digest(name, tmp_path) == TRAJECTORY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_GOLDEN))
+def test_coverage_digest(name):
+    assert coverage_digest(name) == COVERAGE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["criterion_6_linear_ldp", "criterion_7_glm"])
+def test_record_leaves_regret_unchanged(name):
+    config = ExperimentConfig.from_dict(_doc(name))
+    trace = run_experiment(config, n_jobs=1)
+    for rep in range(config.replications):
+        rows = []
+        recorded = run_replication(config, rep, record=rows)
+        assert len(rows) == config.horizon
+        assert recorded.tobytes() == trace.per_replication[rep].tobytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(GOLDEN):
             print(f'    "{key}": "{emitted_digest(key, Path(tmp))}",')
+        for key in sorted(TRAJECTORY_GOLDEN):
+            print(f'    "{key}": "{trajectory_digest(key, Path(tmp))}",')
+    for key in sorted(COVERAGE_GOLDEN):
+        print(f'    "{key}": "{coverage_digest(key)}",')

@@ -275,7 +275,7 @@ class TestEmit:
 
 class TestTrajectoryDump:
     def _rows(self):
-        from ldpbandits.harness import _ContextualLinearRunner
+        from ldpbandits.harness import run_replication
 
         config = ExperimentConfig.from_dict({
             "algorithm": "contextual_linear", "horizon": 50, "replications": 1,
@@ -283,7 +283,7 @@ class TestTrajectoryDump:
             "privacy": {"epsilon": 1.0, "delta": 0.01},
         })
         rows = []
-        _ContextualLinearRunner.run(config, 0, trajectory=rows)
+        run_replication(config, 0, record=rows)
         return rows
 
     def test_linear_trajectory_records(self):
@@ -294,6 +294,12 @@ class TestTrajectoryDump:
         assert 0 <= arm < 3
         assert theta.shape == (2,)
         assert isinstance(contained, (bool, np.bool_))
+
+    def test_record_is_for_contextual_algorithms(self):
+        from ldpbandits.harness import run_replication
+
+        with pytest.raises(ConfigurationError):
+            run_replication(ExperimentConfig.from_dict(mab_doc()), 0, record=[])
 
     def test_trajectory_csv_format(self, tmp_path):
         from ldpbandits.harness import trajectory_csv

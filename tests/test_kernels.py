@@ -254,3 +254,21 @@ def test_local_report_grams_match_outer(d, sigma, seed):
     glm = glm_local_report(x, 1.0, theta_hat, logistic_link(), sigma,
                            derive_rng(seed, "reference"))
     assert bits(glm.gram) == bits(np.outer(x, x) + noise)
+
+
+# ---------------------------------------------------------------------------
+# the adversarial MAB comparator
+
+
+@SETTINGS
+@given(st.integers(1, 2_000), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_prefix_best_matches_running_sum(horizon, n_arms, seed):
+    # the best fixed arm's loss over rounds 1..t by its definition, a running
+    # per-arm total, against the harness's cumulative sum over the table
+    table = np.random.default_rng(seed).random((horizon, n_arms))
+    running = np.zeros(n_arms)
+    best = []
+    for row in table:
+        running += row
+        best.append(float(running.min()))
+    assert bits(np.cumsum(table, axis=0).min(axis=1)) == bits(best)

@@ -15,6 +15,8 @@ from ldpbandits import (
     ContractViolation,
     DecisionSet,
     FkmBandit,
+    LdpBaiLearner,
+    LdpMabLearner,
     OnePointConfig,
     PerturbedValue,
     PrivacyParams,
@@ -27,8 +29,6 @@ from ldpbandits import (
     one_point_sigma,
     two_point_round,
     two_point_sigma,
-    wrap_bai,
-    wrap_mab,
 )
 
 mpmath.mp.dps = 50
@@ -217,21 +217,23 @@ class TestTwoPointEquivalence:
 
 class TestWrapMab:
     def test_recentring(self):
-        learner = wrap_mab(None, 2, derive_rng(0, 0, "learner"), derive_rng(0, 0, "noise"))
+        learner = LdpMabLearner(None, 2, derive_rng(0, 0, "learner"),
+                                derive_rng(0, 0, "noise"))
         arm = learner.propose()
         learner.observe(1.0)
         assert learner.inner.lhat[arm] == pytest.approx(0.5 / 0.5)  # 0.5 / p with p=0.5
-        learner2 = wrap_mab(None, 2, derive_rng(0, 0, "learner"), derive_rng(0, 0, "noise"))
+        learner2 = LdpMabLearner(None, 2, derive_rng(0, 0, "learner"),
+                                 derive_rng(0, 0, "noise"))
         arm2 = learner2.propose()
         learner2.observe(0.0)
         assert learner2.inner.lhat[arm2] == pytest.approx(-0.5 / 0.5)
 
     def test_sigma_value(self):
-        learner = wrap_mab(PRIVACY, 3, derive_rng(0, 0), derive_rng(0, 1))
+        learner = LdpMabLearner(PRIVACY, 3, derive_rng(0, 0), derive_rng(0, 1))
         assert learner.sigma == pytest.approx(4.8448, abs=1e-4)
 
     def test_loss_range_contract(self):
-        learner = wrap_mab(None, 2, derive_rng(0, 0), derive_rng(0, 1))
+        learner = LdpMabLearner(None, 2, derive_rng(0, 0), derive_rng(0, 1))
         learner.propose()
         with pytest.raises(ContractViolation):
             learner.observe(1.5)
@@ -240,7 +242,7 @@ class TestWrapMab:
         horizon = 500
         rng_env = derive_rng(5, 0, "environment")
         losses = rng_env.random(horizon)
-        wrapped = wrap_mab(None, 3, derive_rng(5, 0, "learner"), derive_rng(5, 0, "noise"))
+        wrapped = LdpMabLearner(None, 3, derive_rng(5, 0, "learner"), derive_rng(5, 0, "noise"))
         bare = TsallisInf(3, derive_rng(5, 0, "learner"))
         for t in range(horizon):
             arm_w = wrapped.propose()
@@ -261,8 +263,8 @@ class TestWrapMab:
             env_rng = derive_rng(40 + rep, 0, "environment")
             draws = env_rng.random((horizon, 2))
             for label, privacy in (("private", weak), ("bare", None)):
-                learner = wrap_mab(privacy, 2, derive_rng(40 + rep, 0, "learner"),
-                                   derive_rng(40 + rep, 0, "noise"))
+                learner = LdpMabLearner(privacy, 2, derive_rng(40 + rep, 0, "learner"),
+                                        derive_rng(40 + rep, 0, "noise"))
                 regret = 0.0
                 for t in range(horizon):
                     arm = learner.propose()
@@ -274,17 +276,17 @@ class TestWrapMab:
 
 class TestWrapBai:
     def test_zero_noise_proxy(self):
-        learner = wrap_bai(None, 3, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(None, 3, 0.1, derive_rng(0, 0, "noise"))
         assert learner.variance_proxy == 0.25
 
     def test_inflated_proxy_example(self):
-        learner = wrap_bai(PRIVACY, 3, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(PRIVACY, 3, 0.1, derive_rng(0, 0, "noise"))
         sigma_sq = one_point_sigma(PRIVACY, 0.5) ** 2
         assert learner.variance_proxy == pytest.approx(0.25 + sigma_sq, rel=1e-12)
         assert learner.variance_proxy == pytest.approx(23.72, abs=0.01)
 
     def test_reward_contract(self):
-        learner = wrap_bai(None, 2, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(None, 2, 0.1, derive_rng(0, 0, "noise"))
         with pytest.raises(ContractViolation):
             learner.observe(0, -0.5)
 
