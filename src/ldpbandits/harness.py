@@ -20,8 +20,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -292,6 +293,8 @@ def _one_point_setup(config: ExperimentConfig, rep: int, record):
 
 
 def _mab_environment(config: ExperimentConfig, rep: int):
+    """(environment, the best fixed arm's total loss over each prefix of an
+    adversarial table; None for a stochastic environment)."""
     env = config.environment
     _check_keys(
         env,
@@ -303,24 +306,40 @@ def _mab_environment(config: ExperimentConfig, rep: int):
     if kind == "stochastic":
         if "means" not in env:
             raise ConfigurationError("stochastic MAB needs arm means")
-        return StochasticMab(env["means"], derive_rng(config.base_seed, rep, "environment"))
+        rng = derive_rng(config.base_seed, rep, "environment")
+        return StochasticMab(env["means"], rng), None
     n_arms = int(env.get("n_arms", 0)) or len(env.get("means", []))
     if n_arms < 2:
         raise ConfigurationError("adversarial MAB needs n_arms >= 2")
     if kind == "adversarial_switching":
-        return AdversarialMab.switching(
+        return _switching_environment(
             n_arms, config.horizon,
-            anchor_loss=float(env.get("anchor_loss", 0.45)),
-            dip_loss=float(env.get("dip_loss", 0.44)),
-            off_loss=float(env.get("off_loss", 0.65)),
-            n_blocks=int(env.get("n_blocks", 10)),
+            float(env.get("anchor_loss", 0.45)), float(env.get("dip_loss", 0.44)),
+            float(env.get("off_loss", 0.65)), int(env.get("n_blocks", 10)),
         )
     if kind == "adversarial_fixed_gap":
-        return AdversarialMab.fixed_gap(
+        return _with_best_prefix(AdversarialMab.fixed_gap(
             n_arms, config.horizon,
             best_loss=float(env.get("best_loss", 0.3)), gap=float(env.get("gap", 0.2)),
-        )
+        ))
     raise ConfigurationError(f"unknown MAB environment kind {kind!r}")
+
+
+@lru_cache(maxsize=4)
+def _switching_environment(n_arms, horizon, anchor_loss, dip_loss, off_loss, n_blocks):
+    """The switching table and its best fixed arm's loss over each prefix,
+    built once per parameter set and process; every replication of a config
+    (and its validation) shares them, so the table is read-only."""
+    env = AdversarialMab.switching(n_arms, horizon, anchor_loss=anchor_loss,
+                                   dip_loss=dip_loss, off_loss=off_loss, n_blocks=n_blocks)
+    env.table.flags.writeable = False
+    return _with_best_prefix(env)
+
+
+def _with_best_prefix(env: AdversarialMab):
+    best_prefix = np.cumsum(env.table, axis=0).min(axis=1)
+    best_prefix.flags.writeable = False
+    return env, best_prefix
 
 
 def _mab_validate(config: ExperimentConfig):
@@ -331,13 +350,13 @@ def _mab_validate(config: ExperimentConfig):
 def _mab_setup(config: ExperimentConfig, rep: int, record):
     """Stochastic: expected regret per round.  Adversarial: the loss itself,
     less the best fixed arm's loss over each prefix at a checkpoint."""
-    env = _mab_environment(config, rep)
+    env, best_prefix = _mab_environment(config, rep)
     learner = LdpMabLearner(
         config.privacy, env.k,
         derive_rng(config.base_seed, rep, "learner"),
         derive_rng(config.base_seed, rep, "noise"),
     )
-    stochastic = isinstance(env, StochasticMab)
+    stochastic = best_prefix is None
 
     def step(t):
         arm = learner.propose()
@@ -347,7 +366,6 @@ def _mab_setup(config: ExperimentConfig, rep: int, record):
 
     if stochastic:
         return step, _no_comparator
-    best_prefix = np.cumsum(env.table, axis=0).min(axis=1)
     return step, lambda t: float(best_prefix[t - 1])
 
 
@@ -365,7 +383,8 @@ def _bai_validate(config: ExperimentConfig):
 
 def _bai_replication(config: ExperimentConfig, rep: int) -> dict:
     """lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
-    means = np.asarray(config.environment["reward_means"], dtype=float)
+    means = [float(m) for m in config.environment["reward_means"]]
+    true_best = int(np.argmax(means))
     params = config.algorithm_params
     gamma = float(params.get("gamma", 0.1))
     max_pulls = int(params.get("max_pulls", config.horizon))
@@ -375,19 +394,21 @@ def _bai_replication(config: ExperimentConfig, rep: int) -> dict:
         lam_lil=float(params.get("lam_lil", 9.0)),
     )
     env_rng = derive_rng(config.base_seed, rep, "environment")
-    learner = LdpBaiLearner(config.privacy, means.size, gamma,
+    learner = LdpBaiLearner(config.privacy, len(means), gamma,
                             derive_rng(config.base_seed, rep, "noise"), lil)
-    while not learner.stopped and learner.total_pulls < max_pulls:
+    pulls = 0
+    while not learner.stopped and pulls < max_pulls:
         arm = learner.select()
         reward = float(env_rng.random() < means[arm])
         learner.observe(arm, reward)
+        pulls += 1
     capped = not learner.stopped
     learner.force_stop()
     return {
         "best": int(learner.best),
-        "true_best": int(np.argmax(means)),
-        "success": bool(learner.best == int(np.argmax(means))),
-        "pulls": learner.total_pulls,
+        "true_best": true_best,
+        "success": bool(learner.best == true_best),
+        "pulls": pulls,
         "capped": capped,
     }
 
@@ -494,15 +515,46 @@ def default_jobs() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+# The one process pool: (pid, n_jobs, executor).  It is forked at the first
+# parallel call and reused by every later one with the same job count; the
+# pid keeps a forked child off its parent's pool.  concurrent.futures' exit
+# hook joins the workers when the interpreter exits.
+_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _executor(n_jobs: int) -> ProcessPoolExecutor:
+    global _POOL
+    pid = os.getpid()
+    if _POOL is not None and _POOL[:2] == (pid, n_jobs):
+        return _POOL[2]
+    if _POOL is not None and _POOL[0] == pid:
+        _POOL[2].shutdown()
+    _POOL = (pid, n_jobs, ProcessPoolExecutor(max_workers=n_jobs))
+    return _POOL[2]
+
+
 def _map_replications(fn, args, n_jobs: int | None) -> list:
-    """[fn(a) for a in args], over a process pool when n_jobs > 1 and there
-    is more than one call; results are always in the order of args."""
+    """[fn(a) for a in args], over the process pool when n_jobs > 1 and
+    there is more than one call; results are always in the order of args.
+
+    The pool takes contiguous blocks of about len(args) / (4 n_jobs) calls,
+    few enough round trips for short replications and enough blocks per
+    worker to even out replications of uneven length.  A pool broken by a
+    dead worker is dropped and the error raised; the next call builds a
+    fresh one.
+    """
+    global _POOL
     n_jobs = default_jobs() if n_jobs is None else max(int(n_jobs), 1)
     args = list(args)
-    if n_jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
+    if n_jobs == 1 or len(args) < 2:
+        return [fn(a) for a in args]
+    pool = _executor(n_jobs)
+    try:
+        return list(pool.map(fn, args, chunksize=max(len(args) // (4 * n_jobs), 1)))
+    except BrokenProcessPool:
+        _POOL = None
+        pool.shutdown()
+        raise
 
 
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RegretTrace:

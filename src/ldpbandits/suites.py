@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -281,17 +282,18 @@ COVERAGE_DOC = {
 }
 
 
-def _coverage_replication(rep: int) -> tuple[int, int]:
+def _coverage_replication(config: ExperimentConfig, rep: int) -> tuple[int, int]:
     """(rounds whose ellipsoid contains theta*, rounds) for replication rep."""
     rows: list[tuple] = []
-    run_replication(ExperimentConfig.from_dict(COVERAGE_DOC), rep, record=rows)
+    run_replication(config, rep, record=rows)
     return sum(row[5] for row in rows), len(rows)
 
 
 def criterion_8(n_jobs=None) -> CriterionResult:
     start = time.perf_counter()
     config = ExperimentConfig.from_dict(COVERAGE_DOC)
-    counts = _map_replications(_coverage_replication, range(config.replications), n_jobs)
+    counts = _map_replications(partial(_coverage_replication, config),
+                               range(config.replications), n_jobs)
     hits = sum(c for c, _ in counts)
     total = sum(n for _, n in counts)
     fraction = hits / total

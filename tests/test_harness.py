@@ -1,10 +1,18 @@
 """Config validation, determinism, slope fitting, and emission contracts."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldpbandits
 from ldpbandits import (
     ConfigurationError,
     ContractViolation,
@@ -14,9 +22,11 @@ from ldpbandits import (
     checkpoint_grid,
     emit,
     fit_slope,
+    harness,
     run_bai,
     run_experiment,
 )
+from ldpbandits.environments import AdversarialMab
 from ldpbandits.harness import CSV_HEADER, RegretAccumulator, parse_trace_csv
 
 
@@ -184,6 +194,126 @@ class TestRunExperiment:
         })
         with pytest.raises(ConfigurationError):
             run_experiment(bai_config)
+
+
+SWITCHING_DOC = mab_doc(
+    horizon=300, replications=25,
+    environment={"kind": "adversarial_switching", "n_arms": 4, "n_blocks": 5},
+)
+BAI_DOC = {
+    "algorithm": "bai", "horizon": 200, "replications": 25, "base_seed": 11,
+    "environment": {"reward_means": [0.9, 0.6, 0.4]},
+    "algorithm_params": {"gamma": 0.1}, "privacy": {"epsilon": 2.0, "delta": 0.01},
+}
+TEST_PID = os.getpid()
+
+
+def _kill_own_worker(_):
+    if os.getpid() != TEST_PID:  # never the test process itself
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(ldpbandits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestReplicationPool:
+    """One warm pool per process, fed blocks of replications."""
+
+    @staticmethod
+    def _emitted(doc, n_jobs, tmp_path) -> bytes:
+        config = ExperimentConfig.from_dict(doc)
+        if config.algorithm == "bai":
+            result = run_bai(config, n_jobs=n_jobs)
+            del result["wall_clock"]
+            return json.dumps(result, sort_keys=True).encode()
+        trace = run_experiment(config, n_jobs=n_jobs)
+        return b"".join(open(emit(trace, str(tmp_path / f"trace.{fmt}"), fmt), "rb").read()
+                        for fmt in ("csv", "json"))
+
+    @pytest.mark.parametrize("doc", [SWITCHING_DOC, BAI_DOC], ids=["mab", "bai"])
+    def test_bytes_identical_at_any_job_count(self, doc, tmp_path):
+        serial = self._emitted(doc, 1, tmp_path)
+        # 2, then 2 again on the same pool, then 3 on a rebuilt one
+        for n_jobs in (2, 2, 3):
+            assert self._emitted(doc, n_jobs, tmp_path) == serial
+
+    def test_parallel_calls_share_one_executor(self):
+        config = ExperimentConfig.from_dict(mab_doc(replications=4))
+        run_experiment(config, n_jobs=2)
+        first = harness._POOL[2]
+        run_bai(ExperimentConfig.from_dict(BAI_DOC), n_jobs=2)
+        assert harness._POOL[2] is first
+        run_experiment(config, n_jobs=3)
+        assert harness._POOL[1] == 3 and harness._POOL[2] is not first
+        with pytest.raises(RuntimeError):  # the old pool was shut down
+            first.submit(int)
+
+    def test_killed_worker_raises_then_a_fresh_pool_runs(self):
+        config = ExperimentConfig.from_dict(mab_doc(replications=4))
+        serial = run_experiment(config, n_jobs=1).per_replication
+        run_experiment(config, n_jobs=2)
+        with pytest.raises(BrokenProcessPool):
+            harness._map_replications(_kill_own_worker, range(4), 2)
+        assert harness._POOL is None
+        assert np.array_equal(run_experiment(config, n_jobs=2).per_replication, serial)
+
+    def test_workers_exit_with_the_interpreter(self):
+        proc = _run_script(f"""
+            import multiprocessing
+            from ldpbandits import ExperimentConfig, run_experiment
+            run_experiment(ExperimentConfig.from_dict({mab_doc(replications=4)!r}), n_jobs=2)
+            print(*(p.pid for p in multiprocessing.active_children()))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        pids = proc.stdout.split()
+        assert len(pids) == 2
+        assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+
+    def test_forked_child_builds_its_own_pool(self):
+        proc = _run_script(f"""
+            import os
+            import signal
+            import numpy as np
+            from ldpbandits import ExperimentConfig, harness, run_experiment
+            config = ExperimentConfig.from_dict({mab_doc(replications=4)!r})
+            serial = run_experiment(config, n_jobs=1).per_replication
+            run_experiment(config, n_jobs=2)
+            parent_pool = harness._POOL[2]
+            child = os.fork()
+            if child == 0:
+                signal.alarm(60)  # a child stuck on its parent's pool dies
+                same = np.array_equal(run_experiment(config, n_jobs=2).per_replication, serial)
+                own = harness._POOL[0] == os.getpid() and harness._POOL[2] is not parent_pool
+                harness._POOL[2].shutdown()
+                os._exit(0 if same and own else 1)
+            assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+            assert harness._POOL[2] is parent_pool
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestSwitchingTable:
+    def test_built_once_per_config_and_read_only(self, monkeypatch):
+        builds = []
+        switching = AdversarialMab.switching
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return switching(*args, **kwargs)
+
+        monkeypatch.setattr(AdversarialMab, "switching", staticmethod(counted))
+        harness._switching_environment.cache_clear()
+        config = ExperimentConfig.from_dict(dict(SWITCHING_DOC, replications=3))
+        run_experiment(config, n_jobs=1)
+        run_experiment(config, n_jobs=1)
+        assert len(builds) == 1
+        env, best_prefix = harness._mab_environment(config, 0)
+        assert not env.table.flags.writeable and not best_prefix.flags.writeable
+        harness._switching_environment.cache_clear()
 
 
 class TestFitSlope:
