@@ -177,13 +177,24 @@ class AffineQuadraticOracle:
 # contextual worlds
 
 
-def sample_unit_ball(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the d-dimensional unit ball (normalized Gaussian
-    directions with the radial correction U^(1/d))."""
-    g = rng.standard_normal((n, d))
+# Rounds a ContextualEnv draws ahead: about 100 KB of arm sets, uniforms and
+# scores at K = 10, d = 3.
+BLOCK_ROUNDS = 256
+
+
+def _to_ball(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Shape n x d standard normals g, in place, into n points uniform in the
+    d-dimensional unit ball (normalized Gaussian directions with the radial
+    correction U^(1/d), U the n uniforms u)."""
     g /= np.sqrt((g * g).sum(axis=1))[:, None]  # np.linalg.norm(g, axis=1)'s formula
-    radii = rng.random(n) ** (1.0 / d)
-    return g * radii[:, None]
+    g *= (u ** (1.0 / g.shape[1]))[:, None]
+    return g
+
+
+def sample_unit_ball(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n points uniform in the d-dimensional unit ball."""
+    g = rng.standard_normal((n, d))
+    return _to_ball(g, rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -200,6 +211,11 @@ class ContextualEnv:
     (mean zero, |eta| <= 1, |y| <= 2).  GLM law: y is the Bernoulli draw with
     success probability g(x . theta_star), i.e. the noise is 1 - g(a) with
     probability g(a) and -g(a) otherwise.
+
+    A round draws k x d normals and k uniforms for its arm set, then one
+    uniform for its reward.  No draw depends on the learner, so the rounds
+    are drawn BLOCK_ROUNDS ahead in that order: step only indexes the block,
+    and reward uses the uniform of the round that step opened.
     """
 
     def __init__(self, theta_star, n_arms: int, rng: np.random.Generator,
@@ -213,22 +229,54 @@ class ContextualEnv:
         self.d = self.theta_star.size
         self.rng = rng
         self.link = link
+        # the current block, drawn at the first step; _open is the reward
+        # uniform of the round the last step opened, None once it is used
+        self._reward_draws: list[float] = []
+        self._next = 0
+        self._open = None
 
     def _mean_value(self, a: float) -> float:
         return float(self.link.g(a)) if self.link is not None else float(a)
 
-    def step(self, t: int) -> ContextualRound:
-        arms = sample_unit_ball(self.k, self.d, self.rng)
+    def _draw_block(self):
+        # fresh arrays for every block: a caller may keep a round's arms
+        normal, uniform = self.rng.standard_normal, self.rng.random
+        arms = np.empty((BLOCK_ROUNDS, self.k, self.d))
+        radial = np.empty((BLOCK_ROUNDS, self.k))
+        draws = []
+        for g, u in zip(arms, radial):
+            normal(out=g)
+            uniform(out=u)
+            draws.append(uniform())
+        _to_ball(arms.reshape(-1, self.d), radial.reshape(-1))
         scores = arms @ self.theta_star
-        best = int(scores.argmax())
-        return ContextualRound(arms=arms, best_arm=best,
-                               best_value=self._mean_value(float(scores[best])))
+        best = scores.argmax(axis=1)
+        self._arms = arms
+        self._best = best.tolist()
+        self._best_values = [self._mean_value(a) for a in
+                             scores[np.arange(BLOCK_ROUNDS), best].tolist()]
+        self._reward_draws = draws
+        self._next = 0
+
+    def step(self, t: int) -> ContextualRound:
+        if self._next == len(self._reward_draws):
+            self._draw_block()
+        i = self._next
+        self._next = i + 1
+        self._open = self._reward_draws[i]
+        return ContextualRound(arms=self._arms[i], best_arm=self._best[i],
+                               best_value=self._best_values[i])
 
     def reward(self, x) -> float:
+        """The reward of x in the round the last step opened; once per round."""
+        u = self._open
+        if u is None:
+            raise ContractViolation("reward needs a round opened by step, once per round")
+        self._open = None
         a = float(np.asarray(x, dtype=float) @ self.theta_star)
         if self.link is None:
-            return a + float(self.rng.uniform(-1.0, 1.0))
-        return float(self.rng.random() < self.link.g(a))
+            return a + (-1.0 + 2.0 * u)  # rng.uniform(-1.0, 1.0)'s formula
+        return float(u < self.link.g(a))
 
     def instant_regret(self, rnd: ContextualRound, arm: int) -> float:
         chosen = float(rnd.arms[arm] @ self.theta_star)

@@ -7,7 +7,10 @@ symmetric Gaussian matrices.
 
 Note on the Gaussian calibration: the closed form is the standard one and its
 analysis assumes epsilon is not large (the usual caveat is epsilon <= 1).  The
-formula is applied as written for any epsilon > 0; for a pure epsilon guarantee
+formula is applied as written for any epsilon > 0.  At every budget the configs
+and suites use (epsilon up to 2.81), tests/test_mechanisms.py
+(TestExactGaussianProfile) checks the resulting sigma against the mechanism's
+exact privacy profile: each delivers its delta.  For a pure epsilon guarantee
 use the Laplace calibration instead.
 """
 

@@ -225,7 +225,11 @@ class TestContextualEnv:
         link = logistic_link()
         env = ContextualEnv(np.array([1.0, 0.0]), 2, derive_rng(6, 0), link=link)
         x = np.array([1.0, 0.0])
-        draws = np.array([env.reward(x) for _ in range(50_000)])
+        draws = []
+        for t in range(1, 50_001):
+            env.step(t)  # a reward belongs to the round step opened
+            draws.append(env.reward(x))
+        draws = np.array(draws)
         assert set(np.unique(draws)) <= {0.0, 1.0}
         assert draws.mean() == pytest.approx(link.g(1.0), abs=0.01)
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from ldpbandits import ExperimentConfig, emit, run_bai, run_experiment
+from ldpbandits.environments import BLOCK_ROUNDS
 from ldpbandits.harness import run_replication, trajectory_csv
 from ldpbandits.suites import COVERAGE_DOC
 
@@ -139,8 +140,8 @@ def _doc(name: str) -> dict:
     return doc
 
 
-def emitted_digest(name: str, out_dir: Path) -> str:
-    config = ExperimentConfig.from_dict(_doc(name))
+def emitted_digest(doc: dict, out_dir: Path) -> str:
+    config = ExperimentConfig.from_dict(doc)
     if config.algorithm == "bai":
         result = run_bai(config, n_jobs=1)
         payload = {key: result[key] for key in sorted(result) if key != "wall_clock"}
@@ -162,7 +163,42 @@ def test_every_config_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name, tmp_path):
-    assert emitted_digest(name, tmp_path) == GOLDEN[name]
+    assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name]
+
+
+# Criterion 6 (private and non-private) and criterion 7 at a horizon that
+# crosses three of the contextual environment's block boundaries; every
+# contextual digest above fits inside its first block.
+MULTI_BLOCK_HORIZON = 800
+MULTI_BLOCK_DOCS = {
+    "criterion_6_linear_ldp": CRITERION_DOCS["criterion_6_linear_ldp"],
+    "criterion_6_linear_baseline": {
+        key: value for key, value in CRITERION_DOCS["criterion_6_linear_ldp"].items()
+        if key != "privacy"
+    },
+    "criterion_7_glm": CRITERION_DOCS["criterion_7_glm"],
+}
+MULTI_BLOCK_GOLDEN = {
+    "criterion_6_linear_baseline":
+        "386c3bd8bdeffe027602fe4e09989c94a2e30f712e5c8a15b90bbecef4016765",
+    "criterion_6_linear_ldp":
+        "c1e0eba33fdb3bc9c5b4da7c7ac861aff0c1f6275886779e08788efbd056967e",
+    "criterion_7_glm":
+        "dd45e95c5131d24d8c22ce3bef6dfcf38be9bb283de3bf5565ff07699c67cda0",
+}
+
+
+def _multi_block_doc(name: str) -> dict:
+    return dict(MULTI_BLOCK_DOCS[name], horizon=MULTI_BLOCK_HORIZON, replications=2)
+
+
+def test_multi_block_horizon_crosses_three_boundaries():
+    assert MULTI_BLOCK_HORIZON >= 3 * BLOCK_ROUNDS + 1
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK_GOLDEN))
+def test_multi_block_digest(name, tmp_path):
+    assert emitted_digest(_multi_block_doc(name), tmp_path) == MULTI_BLOCK_GOLDEN[name]
 
 
 # The per-round record of the contextual algorithms: the trajectory CSVs of
@@ -240,7 +276,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(GOLDEN):
-            print(f'    "{key}": "{emitted_digest(key, Path(tmp))}",')
+            print(f'    "{key}": "{emitted_digest(_doc(key), Path(tmp))}",')
+        for key in sorted(MULTI_BLOCK_DOCS):
+            print(f'    "{key}": "{emitted_digest(_multi_block_doc(key), Path(tmp))}",')
         for key in sorted(TRAJECTORY_GOLDEN):
             print(f'    "{key}": "{trajectory_digest(key, Path(tmp))}",')
     for key in sorted(COVERAGE_GOLDEN):

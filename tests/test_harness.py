@@ -205,6 +205,12 @@ BAI_DOC = {
     "environment": {"reward_means": [0.9, 0.6, 0.4]},
     "algorithm_params": {"gamma": 0.1}, "privacy": {"epsilon": 2.0, "delta": 0.01},
 }
+# past the contextual environment's first block of rounds
+CONTEXTUAL_LINEAR_DOC = {
+    "algorithm": "contextual_linear", "horizon": 300, "replications": 6, "base_seed": 13,
+    "environment": {"dim": 3, "n_arms": 5}, "privacy": {"epsilon": 1.0, "delta": 0.01},
+}
+CONTEXTUAL_GLM_DOC = dict(CONTEXTUAL_LINEAR_DOC, algorithm="contextual_glm")
 TEST_PID = os.getpid()
 
 
@@ -234,7 +240,9 @@ class TestReplicationPool:
         return b"".join(open(emit(trace, str(tmp_path / f"trace.{fmt}"), fmt), "rb").read()
                         for fmt in ("csv", "json"))
 
-    @pytest.mark.parametrize("doc", [SWITCHING_DOC, BAI_DOC], ids=["mab", "bai"])
+    @pytest.mark.parametrize(
+        "doc", [SWITCHING_DOC, BAI_DOC, CONTEXTUAL_LINEAR_DOC, CONTEXTUAL_GLM_DOC],
+        ids=["mab", "bai", "contextual_linear", "contextual_glm"])
     def test_bytes_identical_at_any_job_count(self, doc, tmp_path):
         serial = self._emitted(doc, 1, tmp_path)
         # 2, then 2 again on the same pool, then 3 on a rebuilt one

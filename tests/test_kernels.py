@@ -11,10 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldpbandits import LilUcb, LilUcbParams, TsallisInf, derive_rng, symmetric_gaussian_matrix
+from ldpbandits import (
+    ContextualEnv,
+    ContractViolation,
+    LilUcb,
+    LilUcbParams,
+    TsallisInf,
+    derive_rng,
+    symmetric_gaussian_matrix,
+)
 from ldpbandits.blackbox import _norm, _tsallis_newton, _tsallis_unnormalized
 from ldpbandits.contextual import _solve, glm_local_report, linear_local_report, logistic_link
-from ldpbandits.environments import sample_unit_ball
+from ldpbandits.environments import BLOCK_ROUNDS, ContextualRound, sample_unit_ball
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -254,6 +262,59 @@ def test_local_report_grams_match_outer(d, sigma, seed):
     glm = glm_local_report(x, 1.0, theta_hat, logistic_link(), sigma,
                            derive_rng(seed, "reference"))
     assert bits(glm.gram) == bits(np.outer(x, x) + noise)
+
+
+class PerRoundContextualEnv(ContextualEnv):
+    """The contextual environment as it drew each round on its own, arm set
+    at step and reward noise at reward: the reference the block drawing
+    replaces."""
+
+    def step(self, t: int) -> ContextualRound:
+        g = self.rng.standard_normal((self.k, self.d))
+        g /= np.sqrt((g * g).sum(axis=1))[:, None]
+        arms = g * (self.rng.random(self.k) ** (1.0 / self.d))[:, None]
+        scores = arms @ self.theta_star
+        best = int(scores.argmax())
+        return ContextualRound(arms=arms, best_arm=best,
+                               best_value=self._mean_value(float(scores[best])))
+
+    def reward(self, x) -> float:
+        a = float(np.asarray(x, dtype=float) @ self.theta_star)
+        if self.link is None:
+            return a + float(self.rng.uniform(-1.0, 1.0))
+        return float(self.rng.random() < self.link.g(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+)
+def test_block_environment_matches_per_round_reference(d, k, glm, seed, theta):
+    theta = np.array(theta[:d])
+    theta /= max(1.0, float(np.linalg.norm(theta)) * (1.0 + 1e-15))
+    link = logistic_link() if glm else None
+    block = ContextualEnv(theta, k, np.random.default_rng(seed), link=link)
+    reference = PerRoundContextualEnv(theta, k, np.random.default_rng(seed), link=link)
+    with pytest.raises(ContractViolation):
+        block.reward(np.zeros(d))  # no round is open yet
+    played = np.random.default_rng(seed + 1).integers(k, size=4 * BLOCK_ROUNDS)
+    kept = []
+    # four whole blocks: three block boundaries crossed
+    for t, arm in enumerate(played.tolist(), start=1):
+        rnd, ref = block.step(t), reference.step(t)
+        assert bits(rnd.arms) == bits(ref.arms)
+        assert rnd.best_arm == ref.best_arm
+        assert bits(rnd.best_value) == bits(ref.best_value)
+        x = rnd.arms[arm]
+        assert bits(block.reward(x)) == bits(reference.reward(x))
+        if t % 97 == 1:
+            kept.append((rnd.arms, rnd.arms.copy()))
+    with pytest.raises(ContractViolation):
+        block.reward(x)  # the round's reward is used
+    assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+    for arms, copy in kept:  # later blocks do not write into earlier rounds
+        assert bits(arms) == bits(copy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Calibration formulas, sampler distributions, and stream determinism."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -72,6 +74,57 @@ class TestGaussianCalibration:
     def test_invalid_params_rejected(self, eps, delta):
         with pytest.raises(CalibrationError):
             PrivacyParams(eps, delta)
+
+
+def exact_gaussian_delta(epsilon, sigma, sensitivity=1.0):
+    """The smallest delta that the Gaussian mechanism with this sigma delivers
+    at epsilon: its exact privacy profile (Balle & Wang, "Improving the
+    Gaussian Mechanism for Differential Privacy", arXiv:1805.06530),
+    Phi(D/2s - e s/D) - exp(e) Phi(-D/2s - e s/D)."""
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    a, b = sensitivity / (2.0 * sigma), epsilon * sigma / sensitivity
+    return cdf(a - b) - math.exp(epsilon) * cdf(-a - b)
+
+
+# Every scalar (epsilon, delta) the configs and the suites calibrate at, with
+# the exact delta its classical sigma delivers.  The classical formula's
+# analysis assumes epsilon <= 1; the exact profile shows that it holds at the
+# larger budgets too.
+BUDGETS = [
+    (1.0, 1e-5, 4.114e-8),
+    (1.0, 1e-2, 1.364e-4),
+    (2.0, 1e-2, 4.349e-4),
+    (2.5, 1e-2, 6.806e-4),
+    (2.81, 0.1, 1.855e-2),
+]
+
+
+class TestExactGaussianProfile:
+    @pytest.mark.parametrize("eps,delta,exact", BUDGETS)
+    def test_classical_sigma_delivers_its_delta(self, eps, delta, exact):
+        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0).sigma
+        delta_exact = exact_gaussian_delta(eps, sigma)
+        assert delta_exact <= delta
+        assert delta_exact == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("eps,delta,exact", BUDGETS)
+    def test_profile_matches_high_precision(self, eps, delta, exact):
+        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0).sigma
+        s, e = mpmath.mpf(sigma), mpmath.mpf(eps)
+        oracle = mpmath.ncdf(1 / (2 * s) - e * s) - mpmath.exp(e) * mpmath.ncdf(-1 / (2 * s) - e * s)
+        assert exact_gaussian_delta(eps, sigma) == pytest.approx(float(oracle), rel=1e-9)
+        # the profile depends on sigma / sensitivity alone
+        assert exact_gaussian_delta(eps, 3.0 * sigma, 3.0) == pytest.approx(float(oracle), rel=1e-9)
+
+    def test_budgets_cover_the_configs(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        budgets = {(eps, delta) for eps, delta, _ in BUDGETS}
+        for path in sorted(configs.glob("*.json")):
+            privacy = json.loads(path.read_text()).get("privacy")
+            if privacy is not None:
+                assert (privacy["epsilon"], privacy["delta"]) in budgets, path.name
 
 
 class TestLaplaceCalibration:
