@@ -14,7 +14,6 @@ from .blackbox import (
     TsallisInf,
     TwoPointBandit,
     project,
-    tsallis_weights,
 )
 from .contextual import (
     BaselineConfidence,
@@ -57,10 +56,8 @@ from .harness import (
     run_experiment,
 )
 from .mechanisms import (
-    NoiseSpec,
     PrivacyParams,
     calibrate_gaussian,
-    calibrate_laplace,
     derive_rng,
     perturb_scalar,
     perturb_vector,

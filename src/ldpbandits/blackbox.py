@@ -1,7 +1,7 @@
 """Non-private black-box bandit learners used inside the private reductions.
 
 Contains:
-  * ball/box decision sets with Euclidean projection onto a shrunken copy,
+  * ball decision sets with Euclidean projection onto a shrunken copy,
   * a one-point sphere-sampling gradient-descent learner (estimator
     (d/rho) * loss * u for a uniform unit vector u),
   * a two-query gradient-descent learner (estimator (d/2 rho) * (f1 - f2) * u),
@@ -29,17 +29,14 @@ from .errors import ConfigurationError, ContractViolation, NumericalError
 
 @dataclass(frozen=True)
 class DecisionSet:
-    """A ball or axis-aligned box, with its inner/outer radii about the origin.
+    """A ball that contains the origin, with its inner/outer radii about the origin.
 
     inner_radius r and outer_radius R satisfy  r*B subset X subset R*B  where
     B is the unit ball; both are needed by the query-feasibility margins.
     """
 
-    kind: str
-    center: np.ndarray | None = None
-    radius: float = 0.0
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    center: np.ndarray
+    radius: float
 
     @staticmethod
     def ball(radius: float, center=None, dim: int | None = None) -> "DecisionSet":
@@ -52,40 +49,24 @@ class DecisionSet:
         center = np.asarray(center, dtype=float)
         if _norm(center) >= radius:
             raise ConfigurationError("ball must contain the origin strictly")
-        return DecisionSet(kind="ball", center=center, radius=float(radius))
-
-    @staticmethod
-    def box(lower, upper) -> "DecisionSet":
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigurationError("box bounds must be 1-d arrays of equal shape")
-        if not np.all(lower < 0) or not np.all(upper > 0):
-            raise ConfigurationError("box must contain the origin strictly")
-        return DecisionSet(kind="box", lower=lower, upper=upper)
+        return DecisionSet(center=center, radius=float(radius))
 
     @property
     def dim(self) -> int:
-        return self.center.size if self.kind == "ball" else self.lower.size
+        return self.center.size
 
     @property
     def inner_radius(self) -> float:
-        if self.kind == "ball":
-            return self.radius - _norm(self.center)
-        return float(min(self.upper.min(), (-self.lower).min()))
+        return self.radius - _norm(self.center)
 
     @property
     def outer_radius(self) -> float:
-        if self.kind == "ball":
-            return self.radius + _norm(self.center)
-        return float(np.sqrt(np.sum(np.maximum(self.upper, -self.lower) ** 2)))
+        return self.radius + _norm(self.center)
 
     def contains(self, x, shrink: float = 0.0, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
         s = 1.0 - shrink
-        if self.kind == "ball":
-            return _norm(x - s * self.center) <= s * self.radius + tol
-        return bool(np.all(x >= s * self.lower - tol) and np.all(x <= s * self.upper + tol))
+        return _norm(x - s * self.center) <= s * self.radius + tol
 
 
 def _norm(v: np.ndarray) -> float:
@@ -106,15 +87,13 @@ def project(point, dset: DecisionSet, shrink: float = 0.0) -> np.ndarray:
         raise ConfigurationError(f"shrink must be in [0, 1), got {shrink}")
     p = np.asarray(point, dtype=float)
     s = 1.0 - shrink
-    if dset.kind == "ball":
-        c = s * dset.center
-        r = s * dset.radius
-        diff = p - c
-        norm = _norm(diff)
-        if norm <= r:
-            return p.copy()
-        return c + diff * (r / norm)
-    return np.clip(p, s * dset.lower, s * dset.upper)
+    c = s * dset.center
+    r = s * dset.radius
+    diff = p - c
+    norm = _norm(diff)
+    if norm <= r:
+        return p.copy()
+    return c + diff * (r / norm)
 
 
 def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,15 +160,6 @@ class FkmBandit:
         self.last_u = _uniform_unit_vector(self.d, self.rng)
         return self.y + self.rho * self.last_u
 
-    def step(self, observed_loss: float) -> np.ndarray:
-        """Consume the previous query's feedback, then emit the next query.
-
-        Pass 0.0 on the first call (no pending feedback; the stored direction
-        is zero so the update is a no-op).
-        """
-        self.observe(observed_loss)
-        return self.propose()
-
 
 # ---------------------------------------------------------------------------
 # two-query learner
@@ -255,65 +225,14 @@ class TwoPointBandit:
 # Tsallis-INF
 
 
-def tsallis_weights(lhat: np.ndarray, eta: float, *, method: str = "newton",
-                    tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-    """Sampling weights w_i = 4 / (eta^2 (lhat_i - z)^2) with z chosen so the
-    weights sum to one.
-
-    h(z) = sum_i w_i(z) - 1 is increasing and convex on z < min(lhat), and
-    z in (min - 2K/eta, min) brackets the root, so both bisection and the
-    safeguarded Newton iteration converge.  Newton (warm-startable, few
-    iterations) is the default; bisection is the reference method.
-    """
-    lhat = np.asarray(lhat, dtype=float)
-    k = lhat.size
-    if k == 1:
-        return np.ones(1)
-    values = lhat.tolist()
-    lmin = min(values)
-    inv_eta2 = 1.0 / (eta * eta)
-
-    def residual(z):
-        q = lhat - z
-        return 4.0 * inv_eta2 * np.sum(1.0 / (q * q)) - 1.0
-
-    if method == "bisection":
-        lo = lmin - 2.0 * k / eta
-        hi = lmin - 1e-15 * max(1.0, abs(lmin))
-        z = 0.5 * (lo + hi)
-        for _ in range(max_iter):
-            h = residual(z)
-            if abs(h) <= tol:
-                break
-            if h > 0:
-                hi = z
-            else:
-                lo = z
-            z = 0.5 * (lo + hi)
-        else:
-            h = residual(z)
-            if abs(h) > 1e-9:
-                raise NumericalError(
-                    f"weight normalization did not converge: residual={h:.3e}, "
-                    f"bracket=({lo}, {hi})"
-                )
-    elif method == "newton":
-        z = _tsallis_newton(values, eta, lmin, inv_eta2, tol, max_iter)
-    else:
-        raise ConfigurationError(f"unknown root-find method {method!r}")
-
-    w, total = _tsallis_unnormalized(values, z, inv_eta2)
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise NumericalError(f"weight normalization residual too large: {total - 1.0:.3e}")
-    return np.array([x / total for x in w])
-
-
 def _tsallis_newton(values, eta, lmin, inv_eta2, tol, max_iter, z0=None):
-    # Start left of the root (residual < 0 there); Newton overshoots once,
-    # then descends monotonically.  Iterates are clamped below lmin where
-    # the residual has its pole.  Scalar arithmetic over a list of floats:
-    # arm counts are small enough that numpy per-op overhead dominates the
-    # vectorized version.
+    # The root z < lmin of sum_i 4 / (eta^2 (v_i - z)^2) = 1, which makes the
+    # Tsallis-INF weights sum to one; the residual is increasing and convex
+    # on z < lmin.  Start left of the root (residual < 0 there); Newton
+    # overshoots once, then descends monotonically.  Iterates are clamped
+    # below lmin where the residual has its pole.  Scalar arithmetic over a
+    # list of floats: arm counts are small enough that numpy per-op overhead
+    # dominates the vectorized version.
     z = z0 if z0 is not None and z0 < lmin else lmin - 2.0 * math.sqrt(len(values)) / eta
     scale = 4.0 * inv_eta2
     h = None
@@ -533,7 +452,3 @@ class LilUcb:
         if not self.stopped:
             self.stopped = True
             self.best = self.counts.index(max(self.counts))
-
-    @property
-    def total_pulls(self) -> int:
-        return sum(self.counts)

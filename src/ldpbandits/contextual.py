@@ -38,7 +38,7 @@ from numpy.linalg import _umath_linalg
 
 from .blackbox import _norm
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .mechanisms import PrivacyParams, symmetric_gaussian_matrix
+from .mechanisms import PrivacyParams, perturb_vector, symmetric_gaussian_matrix
 
 EIG_FLOOR = 1e-8
 
@@ -69,7 +69,6 @@ class LinkFunction:
     """
 
     g: Callable[[float], float]
-    g_prime: Callable[[float], float]
     m: Callable[[float], float]
     value_bound: float
     lipschitz: float
@@ -99,7 +98,6 @@ def logistic_link() -> LinkFunction:
     g1 = _sigmoid(1.0)
     return LinkFunction(
         g=_sigmoid,
-        g_prime=lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)),
         m=lambda a: math.log1p(math.exp(-abs(a))) + max(a, 0.0),
         value_bound=1.0,
         lipschitz=0.25,
@@ -216,13 +214,9 @@ def linear_local_report(x, y: float, sigma: float,
         raise ContractViolation("context norm exceeds 1")
     if abs(y) > 2.0 + 1e-9:
         raise ContractViolation("linear reward outside [-2, 2]")
-    d = x.size
-    gram = x[:, None] * x  # np.outer's product without its wrapper
-    moment = y * x
-    if sigma > 0.0:
-        gram = gram + symmetric_gaussian_matrix(d, sigma, rng)
-        moment = moment + rng.normal(0.0, sigma, size=d)
-    return LocalReport(gram=gram, moment=moment)
+    # x[:, None] * x is np.outer's product without its wrapper
+    gram = x[:, None] * x + symmetric_gaussian_matrix(x.size, sigma, rng)
+    return LocalReport(gram=gram, moment=perturb_vector(y * x, sigma, rng))
 
 
 def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
@@ -235,15 +229,9 @@ def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
         raise ContractViolation("context norm exceeds 1")
     if _norm(theta_hat) > 1.0 + 1e-9:
         raise ContractViolation("rough estimate left the unit ball")
-    d = x.size
-    z = float(x @ theta_hat)
-    gram = x[:, None] * x
-    moment = z * x
-    grad = (link.g(z) - y) * x
-    if sigma > 0.0:
-        gram = gram + symmetric_gaussian_matrix(d, sigma, rng)
-        moment = moment + rng.normal(0.0, sigma, size=d)
-        grad = grad + rng.normal(0.0, link.value_bound * sigma, size=d)
+    gram = x[:, None] * x + symmetric_gaussian_matrix(x.size, sigma, rng)
+    moment = perturb_vector(float(x @ theta_hat) * x, sigma, rng)
+    grad = perturb_vector(link.gradient(x, y, theta_hat), link.value_bound * sigma, rng)
     return LocalReport(gram=gram, moment=moment, gradient=grad)
 
 

@@ -28,7 +28,6 @@ class StochasticMab:
             raise ConfigurationError("arm means must be a vector in [0, 1]")
         self.k = self.means.size
         self.rng = rng
-        self.best_arm = int(np.argmin(self.means))
         self.best_mean = float(self.means.min())
 
     def sample(self, t: int, arm: int) -> float:
@@ -39,9 +38,6 @@ class StochasticMab:
     def instant_regret(self, arm: int) -> float:
         """Expected suboptimality gap of the pulled arm."""
         return float(self.means[arm] - self.best_mean)
-
-    def gaps(self) -> np.ndarray:
-        return self.means - self.best_mean
 
 
 class AdversarialMab:
@@ -55,19 +51,12 @@ class AdversarialMab:
             raise ConfigurationError("adversarial losses must lie in [0, 1]")
         self.table = table
         self.horizon, self.k = table.shape
-        cumulative = table.sum(axis=0)
-        self.best_arm = int(np.argmin(cumulative))
-        self.best_cumulative = float(cumulative.min())
 
     def sample(self, t: int, arm: int) -> float:
         """Loss of round t (1-based) for the chosen arm."""
         if not (0 <= arm < self.k):
             raise ContractViolation(f"arm {arm} out of range [0, {self.k})")
         return float(self.table[t - 1, arm])
-
-    def instant_regret(self, t: int, arm: int) -> float:
-        """Per-round loss gap against the best fixed arm in hindsight."""
-        return float(self.table[t - 1, arm] - self.table[t - 1, self.best_arm])
 
     @staticmethod
     def fixed_gap(n_arms: int, horizon: int, best_loss: float = 0.3,
@@ -189,12 +178,6 @@ def _to_ball(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     g /= np.sqrt((g * g).sum(axis=1))[:, None]  # np.linalg.norm(g, axis=1)'s formula
     g *= (u ** (1.0 / g.shape[1]))[:, None]
     return g
-
-
-def sample_unit_ball(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the d-dimensional unit ball."""
-    g = rng.standard_normal((n, d))
-    return _to_ball(g, rng.random(n))
 
 
 @dataclass(frozen=True)

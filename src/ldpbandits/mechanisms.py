@@ -1,17 +1,19 @@
-"""Noise calibration and sampling for local-privacy perturbations.
+"""Gaussian noise calibration and the one sampler family every local report uses.
 
-Implements the Gaussian mechanism (sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon)
-and the Laplace mechanism (scale = sensitivity / epsilon) together with the
-samplers used by the bandit algorithms: scalar noise, i.i.d. vector noise and
-symmetric Gaussian matrices.
+Calibration is the Gaussian mechanism,
+sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.  The samplers are the
+only code that draws report noise: perturb_scalar (optionally along a
+direction, for the two-point report n . (x1 - x2)), perturb_vector and
+symmetric_gaussian_matrix.  Each draws nothing at sigma = 0, so a zero-noise
+run consumes the same stream as a non-private one and its reports carry the
+clean values.
 
 Note on the Gaussian calibration: the closed form is the standard one and its
 analysis assumes epsilon is not large (the usual caveat is epsilon <= 1).  The
 formula is applied as written for any epsilon > 0.  At every budget the configs
 and suites use (epsilon up to 2.81), tests/test_mechanisms.py
 (TestExactGaussianProfile) checks the resulting sigma against the mechanism's
-exact privacy profile: each delivers its delta.  For a pure epsilon guarantee
-use the Laplace calibration instead.
+exact privacy profile: each delivers its delta.
 """
 
 from __future__ import annotations
@@ -25,17 +27,14 @@ import numpy as np
 
 from .errors import CalibrationError
 
-GAUSSIAN = "gaussian"
-LAPLACE = "laplace"
-
 
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) privacy budget.
 
     epsilon must be positive and delta must lie strictly in (0, 1); delta = 0
-    is rejected because the Gaussian calibration diverges there (the Laplace
-    variant is the supported pure-epsilon path).
+    is rejected because the Gaussian calibration diverges there and the
+    library has no pure-epsilon mechanism.
     """
 
     epsilon: float
@@ -48,65 +47,31 @@ class PrivacyParams:
             raise CalibrationError(f"delta must be in (0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A calibrated noise distribution: Gaussian (sigma) or Laplace (scale)."""
-
-    kind: str
-    sigma: float = 0.0
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (GAUSSIAN, LAPLACE):
-            raise CalibrationError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0 or self.scale < 0:
-            raise CalibrationError("noise parameters must be nonnegative")
-
-
-def calibrate_gaussian(privacy: PrivacyParams, sensitivity: float) -> NoiseSpec:
+def calibrate_gaussian(privacy: PrivacyParams, sensitivity: float) -> float:
     """Gaussian mechanism: sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon."""
     if sensitivity < 0:
         raise CalibrationError(f"sensitivity must be >= 0, got {sensitivity}")
-    sigma = sensitivity * math.sqrt(2.0 * math.log(1.25 / privacy.delta)) / privacy.epsilon
-    return NoiseSpec(kind=GAUSSIAN, sigma=sigma)
+    return sensitivity * math.sqrt(2.0 * math.log(1.25 / privacy.delta)) / privacy.epsilon
 
 
-def calibrate_laplace(epsilon: float, sensitivity: float) -> NoiseSpec:
-    """Laplace mechanism for pure epsilon: scale = sensitivity / epsilon."""
-    if not (epsilon > 0):
-        raise CalibrationError(f"epsilon must be > 0, got {epsilon}")
-    if sensitivity < 0:
-        raise CalibrationError(f"sensitivity must be >= 0, got {sensitivity}")
-    return NoiseSpec(kind=LAPLACE, scale=sensitivity / epsilon)
+def perturb_scalar(value: float, sigma: float, rng: np.random.Generator,
+                   direction: np.ndarray | None = None) -> float:
+    """value + Z with one draw Z ~ N(0, sigma^2); with a direction, value +
+    n . direction for one vector n ~ N(0, sigma^2 I) of direction's shape.
+    sigma = 0 returns value and draws nothing."""
+    if sigma == 0.0:
+        return value
+    if direction is None:
+        return value + rng.normal(0.0, sigma)
+    return value + float(rng.normal(0.0, sigma, size=direction.shape) @ direction)
 
 
-def _draw(spec: NoiseSpec, rng: np.random.Generator, size=None):
-    if spec.kind == GAUSSIAN:
-        return rng.normal(0.0, spec.sigma, size=size)
-    return rng.laplace(0.0, spec.scale, size=size)
-
-
-def _is_silent(spec: NoiseSpec) -> bool:
-    # Zero-width noise is an exact identity and consumes nothing from the
-    # stream, so a zero-noise run is bit-identical to a non-private one.
-    return (spec.kind == GAUSSIAN and spec.sigma == 0.0) or (
-        spec.kind == LAPLACE and spec.scale == 0.0
-    )
-
-
-def perturb_scalar(value: float, spec: NoiseSpec, rng: np.random.Generator) -> float:
-    """Return value + Z with Z drawn once from spec's distribution."""
-    if _is_silent(spec):
-        return float(value)
-    return float(value + _draw(spec, rng))
-
-
-def perturb_vector(v: np.ndarray, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Return v + xi with i.i.d. coordinates from spec's distribution."""
-    v = np.asarray(v, dtype=float)
-    if _is_silent(spec):
-        return v.copy()
-    return v + _draw(spec, rng, size=v.shape)
+def perturb_vector(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """v + xi with xi ~ N(0, sigma^2 I) of v's shape; sigma = 0 returns v and
+    draws nothing."""
+    if sigma == 0.0:
+        return v
+    return v + rng.normal(0.0, sigma, size=v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +89,7 @@ def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) ->
 
     Entries (i, j) for i <= j are drawn independently, in row-major order;
     (j, i) is set to the same float, so the result is symmetric bit-for-bit.
+    sigma = 0 returns the zero matrix and draws nothing.
     """
     if d < 1:
         raise CalibrationError(f"dimension must be >= 1, got {d}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blackbox import LilUcb, LilUcbParams, TsallisInf, TwoPointBandit
 from .errors import ConfigurationError, ContractViolation
-from .mechanisms import PrivacyParams, calibrate_gaussian
+from .mechanisms import PrivacyParams, calibrate_gaussian, perturb_scalar
 
 _BOUND_TOL = 1e-9
 
@@ -40,33 +40,26 @@ class PerturbedValue(float):
     """
 
 
-def _perturb(value: float, sigma: float, rng: np.random.Generator) -> PerturbedValue:
-    """value + N(0, sigma^2) behind the privacy barrier; sigma = 0 draws nothing."""
-    if sigma > 0.0:
-        return PerturbedValue(value + rng.normal(0.0, sigma))
-    return PerturbedValue(value)
-
-
 def _unit_report(raw: float, sigma: float, rng: np.random.Generator,
                  what: str) -> PerturbedValue:
     """A [0, 1] loss or reward recentred to [-1/2, 1/2] and perturbed."""
     if not (-_BOUND_TOL <= raw <= 1.0 + _BOUND_TOL):
         raise ContractViolation(f"{what} {raw} outside [0, 1]")
-    return _perturb(float(raw) - 0.5, sigma, rng)
+    return PerturbedValue(perturb_scalar(float(raw) - 0.5, sigma, rng))
 
 
 def one_point_sigma(privacy: PrivacyParams | None, loss_bound: float) -> float:
     """sigma = 2 B sqrt(2 ln(1.25/delta)) / epsilon; 0 in baseline mode."""
     if privacy is None:
         return 0.0
-    return calibrate_gaussian(privacy, 2.0 * loss_bound).sigma
+    return calibrate_gaussian(privacy, 2.0 * loss_bound)
 
 
 def two_point_sigma(privacy: PrivacyParams | None, lipschitz: float) -> float:
     """sigma = 2 G sqrt(2 ln(1.25/delta)) / epsilon; 0 in baseline mode."""
     if privacy is None:
         return 0.0
-    return calibrate_gaussian(privacy, 2.0 * lipschitz).sigma
+    return calibrate_gaussian(privacy, 2.0 * lipschitz)
 
 
 def effective_loss_bound(loss_bound: float, sigma: float, horizon: int) -> float:
@@ -162,7 +155,7 @@ def one_point_round(learner, loss_fn: Callable[[np.ndarray], float],
             f"loss {true_loss} exceeds declared bound {config.loss_bound}; "
             "noise calibration would be void"
         )
-    feedback = _perturb(true_loss, config.sigma, noise_rng)
+    feedback = PerturbedValue(perturb_scalar(true_loss, config.sigma, noise_rng))
     learner.observe(feedback)
     return OnePointRound(action=action, true_loss=true_loss, feedback=feedback)
 
@@ -183,11 +176,8 @@ def two_point_round(learner: TwoPointBandit, loss_fn: Callable[[np.ndarray], flo
             f"|f(x1) - f(x2)| = {abs(raw)} exceeds 2 rho G = "
             f"{2.0 * config.rho * config.lipschitz}; Lipschitz contract breached"
         )
-    if config.sigma > 0.0:
-        n = noise_rng.normal(0.0, config.sigma, size=x1.shape)
-        feedback = PerturbedValue(raw + float(n @ (x1 - x2)))
-    else:
-        feedback = PerturbedValue(raw)
+    feedback = PerturbedValue(perturb_scalar(raw, config.sigma, noise_rng,
+                                             direction=x1 - x2))
     learner.update(feedback)
     return TwoPointRound(x1=x1, x2=x2, true_loss_1=f1, true_loss_2=f2, feedback=feedback)
 
@@ -252,10 +242,6 @@ class LdpBaiLearner:
     @property
     def best(self):
         return self.inner.best
-
-    @property
-    def total_pulls(self) -> int:
-        return self.inner.total_pulls
 
     def select(self) -> int:
         return self.inner.select()

@@ -39,7 +39,6 @@ from .mechanisms import (
     perturb_vector,
     symmetric_gaussian_matrix,
 )
-from .mechanisms import NoiseSpec
 from .reductions import (
     OnePointConfig,
     TwoPointConfig,
@@ -408,7 +407,7 @@ def criterion_10(n_jobs=None) -> CriterionResult:
 
         privacy = PrivacyParams(eps, delta)
         worst = max(worst, rel(
-            calibrate_gaussian(privacy, sens).sigma,
+            calibrate_gaussian(privacy, sens),
             msens * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mdelta)) / meps,
         ))
         worst = max(worst, rel(
@@ -446,17 +445,15 @@ def criterion_10(n_jobs=None) -> CriterionResult:
 def criterion_11(n_jobs=None) -> CriterionResult:
     start = time.perf_counter()
     n = 1_000_000
-    spec = NoiseSpec(kind="gaussian", sigma=1.0)
     rng = derive_rng(111_879, 0, "noise")
     scalars = np.fromiter(
-        (perturb_scalar(0.0, spec, rng) for _ in range(n)), dtype=float, count=n
+        (perturb_scalar(0.0, 1.0, rng) for _ in range(n)), dtype=float, count=n
     )
     mean_ok = abs(scalars.mean()) < 4.0 / math.sqrt(n)
     var_ok = abs(scalars.var() - 1.0) < 0.05
 
-    vec_spec = NoiseSpec(kind="gaussian", sigma=2.0)
     vec_rng = derive_rng(111_879, 1, "noise")
-    vec = np.vstack([perturb_vector(np.zeros(3), vec_spec, vec_rng) for _ in range(n // 4)])
+    vec = np.vstack([perturb_vector(np.zeros(3), 2.0, vec_rng) for _ in range(n // 4)])
     vec_ok = bool(np.all(np.abs(vec.var(axis=0) - 4.0) < 0.1))
 
     mat_rng = derive_rng(111_879, 2, "noise")

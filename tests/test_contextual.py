@@ -125,7 +125,7 @@ class TestConfidenceParams:
         # (T=1, alpha=2/e) give beta^2 = (1/0.25) * sqrt(16) * 1 = 16, beta = 4.
         from ldpbandits import LinkFunction
 
-        link = LinkFunction(g=lambda a: a, g_prime=lambda a: 1.0, m=lambda a: 0.5 * a * a,
+        link = LinkFunction(g=lambda a: a, m=lambda a: 0.5 * a * a,
                             value_bound=1.0, lipschitz=1.0, curvature=0.25)
         conf = LdpConfidence(sigma=1.0, d=4, horizon=1, alpha=2.0 / math.e)
         assert conf.beta_glm(4, link) == pytest.approx(4.0, rel=1e-12)

@@ -15,7 +15,8 @@ from ldpbandits import (
     derive_rng,
     logistic_link,
 )
-from ldpbandits.environments import sample_unit_ball
+from ldpbandits.environments import _to_ball
+from ldpbandits.harness import _with_best_prefix
 
 
 class TestStochasticMab:
@@ -37,8 +38,7 @@ class TestStochasticMab:
 
     def test_best_arm_and_gaps(self):
         env = StochasticMab([0.5, 0.3, 0.9], derive_rng(0, 0))
-        assert env.best_arm == 1
-        assert np.allclose(env.gaps(), [0.2, 0.0, 0.6])
+        assert np.allclose([env.instant_regret(arm) for arm in range(3)], [0.2, 0.0, 0.6])
 
     def test_arm_out_of_range(self):
         env = StochasticMab([0.5], derive_rng(0, 0))
@@ -61,11 +61,13 @@ class TestAdversarialMab:
     def test_best_fixed_arm(self):
         table = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.4]])
         env = AdversarialMab(table)
-        assert env.best_arm == 0  # cumulative 1.2 vs 1.5
+        _, best_prefix = _with_best_prefix(env)
+        # arm 0 is best over every prefix (cumulative 1.2 vs 1.5 at the end)
+        assert best_prefix.tolist() == pytest.approx([0.1, 0.9, 1.2])
 
     def test_fixed_gap_sequence(self):
         env = AdversarialMab.fixed_gap(4, 100, best_loss=0.3, gap=0.2)
-        assert env.best_arm == 0
+        assert np.all(env.table[:, 0] == 0.3) and np.all(env.table[:, 1:] == 0.5)
         assert env.sample(1, 0) == 0.3
         assert env.sample(50, 3) == 0.5
 
@@ -82,7 +84,7 @@ class TestAdversarialMab:
             winners.add(winner)
         assert winners == {1, 2, 3, 4}
         # arm 0 is still the best arm in hindsight
-        assert env.best_arm == 0
+        assert int(np.argmin(env.table.sum(axis=0))) == 0
 
     @pytest.mark.parametrize("n_arms,horizon,n_blocks", [
         (5, 1000, 10), (5, 997, 10), (3, 7, 10), (2, 1, 4), (4, 123, 7),
@@ -244,12 +246,14 @@ class TestContextualEnv:
 
 class TestUnitBallSampling:
     def test_inside_ball(self):
-        pts = sample_unit_ball(10_000, 3, derive_rng(0, 0))
+        rng = derive_rng(0, 0)
+        pts = _to_ball(rng.standard_normal((10_000, 3)), rng.random(10_000))
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
 
     def test_radial_distribution(self):
         # P(|x| <= r) = r^d for uniform in the ball
-        pts = sample_unit_ball(200_000, 2, derive_rng(1, 0))
+        rng = derive_rng(1, 0)
+        pts = _to_ball(rng.standard_normal((200_000, 2)), rng.random(200_000))
         radii = np.linalg.norm(pts, axis=1)
         for r in (0.3, 0.5, 0.8):
             assert (radii <= r).mean() == pytest.approx(r**2, abs=0.01)

@@ -12,14 +12,23 @@ from hypothesis import strategies as st
 
 from ldpbandits import (
     CalibrationError,
-    NoiseSpec,
+    LdpBaiLearner,
+    LdpMabLearner,
+    OnePointConfig,
     PrivacyParams,
+    TwoPointConfig,
     calibrate_gaussian,
-    calibrate_laplace,
     derive_rng,
+    glm_local_report,
+    glm_sigma,
+    linear_local_report,
+    linear_sigma,
+    logistic_link,
+    one_point_round,
     perturb_scalar,
     perturb_vector,
     symmetric_gaussian_matrix,
+    two_point_round,
 )
 
 mpmath.mp.dps = 50
@@ -36,19 +45,18 @@ def gaussian_sigma_oracle(epsilon, delta, sensitivity):
 
 class TestGaussianCalibration:
     def test_example_eps1(self):
-        spec = calibrate_gaussian(PrivacyParams(1.0, 1e-5), 2.0)
-        assert spec.kind == "gaussian"
-        assert spec.sigma == pytest.approx(9.6896, abs=1e-4)
-        assert spec.sigma == pytest.approx(gaussian_sigma_oracle(1.0, 1e-5, 2.0), rel=1e-12)
+        sigma = calibrate_gaussian(PrivacyParams(1.0, 1e-5), 2.0)
+        assert sigma == pytest.approx(9.6896, abs=1e-4)
+        assert sigma == pytest.approx(gaussian_sigma_oracle(1.0, 1e-5, 2.0), rel=1e-12)
 
     def test_example_eps2_halves(self):
-        s1 = calibrate_gaussian(PrivacyParams(1.0, 1e-5), 2.0).sigma
-        s2 = calibrate_gaussian(PrivacyParams(2.0, 1e-5), 2.0).sigma
+        s1 = calibrate_gaussian(PrivacyParams(1.0, 1e-5), 2.0)
+        s2 = calibrate_gaussian(PrivacyParams(2.0, 1e-5), 2.0)
         assert s2 == pytest.approx(4.8448, abs=1e-4)
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-12)
 
     def test_zero_sensitivity(self):
-        assert calibrate_gaussian(PrivacyParams(1.0, 0.5), 0.0).sigma == 0.0
+        assert calibrate_gaussian(PrivacyParams(1.0, 0.5), 0.0) == 0.0
 
     def test_randomized_triples_match_oracle(self):
         rng = np.random.default_rng(2024)
@@ -56,7 +64,7 @@ class TestGaussianCalibration:
             eps = float(rng.uniform(0.05, 20.0))
             delta = float(rng.uniform(1e-9, 0.9))
             sens = float(rng.uniform(0.0, 50.0))
-            got = calibrate_gaussian(PrivacyParams(eps, delta), sens).sigma
+            got = calibrate_gaussian(PrivacyParams(eps, delta), sens)
             assert got == pytest.approx(gaussian_sigma_oracle(eps, delta, sens), rel=1e-12)
 
     @given(
@@ -66,9 +74,9 @@ class TestGaussianCalibration:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotonicity(self, eps, delta, sens):
-        base = calibrate_gaussian(PrivacyParams(eps, delta), sens).sigma
-        assert calibrate_gaussian(PrivacyParams(eps * 1.5, delta), sens).sigma < base
-        assert calibrate_gaussian(PrivacyParams(eps, delta), sens * 1.5).sigma > base
+        base = calibrate_gaussian(PrivacyParams(eps, delta), sens)
+        assert calibrate_gaussian(PrivacyParams(eps * 1.5, delta), sens) < base
+        assert calibrate_gaussian(PrivacyParams(eps, delta), sens * 1.5) > base
 
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5)])
     def test_invalid_params_rejected(self, eps, delta):
@@ -104,14 +112,14 @@ BUDGETS = [
 class TestExactGaussianProfile:
     @pytest.mark.parametrize("eps,delta,exact", BUDGETS)
     def test_classical_sigma_delivers_its_delta(self, eps, delta, exact):
-        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0).sigma
+        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0)
         delta_exact = exact_gaussian_delta(eps, sigma)
         assert delta_exact <= delta
         assert delta_exact == pytest.approx(exact, rel=1e-3)
 
     @pytest.mark.parametrize("eps,delta,exact", BUDGETS)
     def test_profile_matches_high_precision(self, eps, delta, exact):
-        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0).sigma
+        sigma = calibrate_gaussian(PrivacyParams(eps, delta), 1.0)
         s, e = mpmath.mpf(sigma), mpmath.mpf(eps)
         oracle = mpmath.ncdf(1 / (2 * s) - e * s) - mpmath.exp(e) * mpmath.ncdf(-1 / (2 * s) - e * s)
         assert exact_gaussian_delta(eps, sigma) == pytest.approx(float(oracle), rel=1e-9)
@@ -127,72 +135,64 @@ class TestExactGaussianProfile:
                 assert (privacy["epsilon"], privacy["delta"]) in budgets, path.name
 
 
-class TestLaplaceCalibration:
-    def test_examples(self):
-        assert calibrate_laplace(1.0, 2.0).scale == 2.0
-        assert calibrate_laplace(4.0, 2.0).scale == 0.5
-        assert calibrate_laplace(1.0, 0.0).scale == 0.0
-
-    def test_kind(self):
-        assert calibrate_laplace(1.0, 2.0).kind == "laplace"
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(CalibrationError):
-            calibrate_laplace(0.0, 1.0)
-        with pytest.raises(CalibrationError):
-            calibrate_laplace(1.0, -1.0)
-
-
 class TestPerturbScalar:
     def test_zero_noise_identity(self):
-        spec = NoiseSpec(kind="gaussian", sigma=0.0)
-        assert perturb_scalar(0.5, spec, derive_rng(0, 0)) == 0.5
+        rng = derive_rng(0, 0)
+        state = rng.bit_generator.state
+        assert perturb_scalar(0.5, 0.0, rng) == 0.5
+        assert perturb_scalar(0.5, 0.0, rng, direction=np.ones(3)) == 0.5
+        assert rng.bit_generator.state == state
 
     def test_deterministic_given_seed(self):
-        spec = NoiseSpec(kind="gaussian", sigma=9.6896)
-        a = [perturb_scalar(0.5, spec, derive_rng(7, 3, "noise")) for _ in range(1)]
-        b = [perturb_scalar(0.5, spec, derive_rng(7, 3, "noise")) for _ in range(1)]
+        a = perturb_scalar(0.5, 9.6896, derive_rng(7, 3, "noise"))
+        b = perturb_scalar(0.5, 9.6896, derive_rng(7, 3, "noise"))
         assert a == b
-        assert a[0] != 0.5
+        assert a != 0.5
 
     def test_two_moment_check(self):
         # |mean| < 4 sigma/sqrt(n) and |var/sigma^2 - 1| < 0.05 at n = 1e5
-        spec = NoiseSpec(kind="gaussian", sigma=1.0)
         rng = derive_rng(11, 0, "noise")
         n = 100_000
         samples = np.fromiter(
-            (perturb_scalar(0.0, spec, rng) for _ in range(n)), dtype=float, count=n
+            (perturb_scalar(0.0, 1.0, rng) for _ in range(n)), dtype=float, count=n
         )
         assert abs(samples.mean()) < 4.0 / math.sqrt(n)
         assert abs(samples.var() - 1.0) < 0.05
 
-    def test_laplace_variance(self):
-        spec = NoiseSpec(kind="laplace", scale=2.0)
-        rng = derive_rng(13, 0, "noise")
+    def test_direction_draws_one_vector(self):
+        # value + n . direction with n ~ N(0, sigma^2 I): one draw of
+        # direction's shape, so the added scalar is N(0, sigma^2 |direction|^2)
+        direction = np.array([0.3, -0.4, 1.2])
+        ours, ref = derive_rng(19, 0, "noise"), derive_rng(19, 0, "noise")
+        for _ in range(5):
+            got = perturb_scalar(0.25, 2.0, ours, direction=direction)
+            assert got == 0.25 + float(ref.normal(0.0, 2.0, size=3) @ direction)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        n = 50_000
         samples = np.fromiter(
-            (perturb_scalar(0.0, spec, rng) for _ in range(100_000)), dtype=float
+            (perturb_scalar(0.0, 2.0, ours, direction=direction) for _ in range(n)),
+            dtype=float, count=n,
         )
-        # Laplace(b) variance is 2 b^2
-        assert samples.var() == pytest.approx(8.0, rel=0.05)
+        assert samples.var() == pytest.approx(4.0 * float(direction @ direction), rel=0.05)
 
 
 class TestPerturbVector:
     @pytest.mark.parametrize("d", [1, 5, 64])
     def test_shape_preserved(self, d):
-        spec = NoiseSpec(kind="gaussian", sigma=1.0)
-        out = perturb_vector(np.zeros(d), spec, derive_rng(0, d))
+        out = perturb_vector(np.zeros(d), 1.0, derive_rng(0, d))
         assert out.shape == (d,)
 
     def test_zero_noise_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        spec = NoiseSpec(kind="gaussian", sigma=0.0)
-        assert np.array_equal(perturb_vector(v, spec, derive_rng(0, 0)), v)
+        rng = derive_rng(0, 0)
+        state = rng.bit_generator.state
+        assert np.array_equal(perturb_vector(v, 0.0, rng), v)
+        assert rng.bit_generator.state == state
 
     def test_coordinate_variance(self):
-        spec = NoiseSpec(kind="gaussian", sigma=2.0)
         rng = derive_rng(17, 0, "noise")
         d, n = 4, 50_000
-        samples = np.vstack([perturb_vector(np.zeros(d), spec, rng) for _ in range(n)])
+        samples = np.vstack([perturb_vector(np.zeros(d), 2.0, rng) for _ in range(n)])
         assert np.allclose(samples.var(axis=0), 4.0, atol=0.1)
 
 
@@ -232,3 +232,127 @@ class TestStreams:
         c = derive_rng(99, 5, "noise").standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# every local report draws its noise through the sampler family
+
+
+class FedRecorder:
+    """A stand-in black box with fixed queries and arm draws that keeps the
+    values a private wrapper hands it (the fed value is update's second
+    argument for the MAB and BAI learners, the only one otherwise)."""
+
+    def __init__(self, x1=None, x2=None):
+        self.x1, self.x2 = x1, x2
+        self.fed = []
+
+    def propose(self):
+        return self.x1
+
+    def queries(self):
+        return self.x1, self.x2
+
+    def sample(self):
+        return 1, 0.4
+
+    def observe(self, value):
+        self.fed.append(value)
+
+    def update(self, *args):
+        self.fed.append(args[1] if len(args) > 1 else args[0])
+
+
+# Each path runs one report on rng and returns what reached the learner or
+# server, the clean values, and a function that rebuilds the report from the
+# clean values and the family's draws on a twin stream, in the report's order.
+
+
+def one_point_path(privacy, rng):
+    config = OnePointConfig(privacy=privacy, loss_bound=2.0)
+    learner = FedRecorder(np.array([0.3, -0.2]))
+    rnd = one_point_round(learner, lambda x: float(x @ x), config, rng)
+    clean = (rnd.true_loss,)
+    return learner.fed, clean, lambda twin: (perturb_scalar(clean[0], config.sigma, twin),)
+
+
+def two_point_path(privacy, rng):
+    config = TwoPointConfig.for_horizon(privacy, 3.0, 100, 1.0, rho=0.05, xi=0.05)
+    x1, x2 = np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.3])
+    learner = FedRecorder(x1, x2)
+    rnd = two_point_round(learner, lambda x: float(x.sum()), config, rng)
+    clean = (rnd.true_loss_1 - rnd.true_loss_2,)
+    return learner.fed, clean, lambda twin: (
+        perturb_scalar(clean[0], config.sigma, twin, direction=x1 - x2),)
+
+
+def mab_path(privacy, rng):
+    learner = LdpMabLearner(privacy, 3, derive_rng(31, 0, "learner"), rng)
+    learner.inner = FedRecorder()
+    learner.propose()
+    learner.observe(0.8)
+    clean = (0.8 - 0.5,)
+    return learner.inner.fed, clean, lambda twin: (
+        perturb_scalar(clean[0], learner.sigma, twin),)
+
+
+def bai_path(privacy, rng):
+    learner = LdpBaiLearner(privacy, 3, 0.1, rng)
+    learner.inner = FedRecorder()
+    learner.observe(2, 0.9)
+    clean = (0.9 - 0.5,)
+    return learner.inner.fed, clean, lambda twin: (
+        perturb_scalar(clean[0], learner.sigma, twin),)
+
+
+X = np.array([0.3, -0.5, 0.4])
+THETA_HAT = np.array([-0.2, 0.1, 0.6])
+
+
+def linear_path(privacy, rng):
+    sigma = linear_sigma(privacy)
+    report = linear_local_report(X, 0.7, sigma, rng)
+    clean = (np.outer(X, X), 0.7 * X)
+    return (report.gram, report.moment), clean, lambda twin: (
+        clean[0] + symmetric_gaussian_matrix(3, sigma, twin),
+        perturb_vector(clean[1], sigma, twin),
+    )
+
+
+def glm_path(privacy, rng):
+    sigma, link = glm_sigma(privacy), logistic_link()
+    report = glm_local_report(X, 1.0, THETA_HAT, link, sigma, rng)
+    z = float(X @ THETA_HAT)
+    clean = (np.outer(X, X), z * X, (link.g(z) - 1.0) * X)
+    return (report.gram, report.moment, report.gradient), clean, lambda twin: (
+        clean[0] + symmetric_gaussian_matrix(3, sigma, twin),
+        perturb_vector(clean[1], sigma, twin),
+        perturb_vector(clean[2], link.value_bound * sigma, twin),
+    )
+
+
+REPORT_PATHS = {
+    "one_point": one_point_path, "two_point": two_point_path, "mab": mab_path,
+    "bai": bai_path, "linear": linear_path, "glm": glm_path,
+}
+
+
+def as_bits(values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("private", [True, False], ids=["sigma_positive", "sigma_zero"])
+@pytest.mark.parametrize("path", list(REPORT_PATHS))
+def test_report_draws_through_the_sampler_family(path, private):
+    rng = derive_rng(31, 0, "noise")
+    state = rng.bit_generator.state
+    privacy = PrivacyParams(1.0, 1e-2) if private else None
+    fed, clean, through_family = REPORT_PATHS[path](privacy, rng)
+    if private:
+        twin = derive_rng(31, 0, "noise")
+        assert as_bits(fed) == as_bits(through_family(twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert as_bits(fed) != as_bits(clean)
+    else:
+        assert rng.bit_generator.state == state
+        assert as_bits(fed) == as_bits(clean)

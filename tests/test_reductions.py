@@ -300,10 +300,10 @@ class TestWrapBai:
             for seed in range(100):
                 rng = derive_rng(seed, 17, "environment")
                 learner = LilUcb(3, gamma=0.1, variance_proxy=0.25 * factor)
-                while not learner.stopped and learner.total_pulls < 200_000:
+                while not learner.stopped and sum(learner.counts) < 200_000:
                     arm = learner.select()
                     learner.update(arm, float(rng.random() < means[arm]))
                 learner.force_stop()
-                pulls[factor].append(learner.total_pulls)
+                pulls[factor].append(sum(learner.counts))
         ratio = np.mean(pulls[4.0]) / np.mean(pulls[1.0])
         assert 3.0 <= ratio <= 5.5
