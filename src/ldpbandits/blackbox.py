@@ -391,7 +391,9 @@ class LilUcb:
         self.k = n_arms
         self.gamma = gamma
         self.proxy = variance_proxy
-        self.params = params or LilUcbParams()
+        p = self.params = params or LilUcbParams()
+        if not (p.eps_lil >= 0 and p.beta_lil >= 0 and p.lam_lil > 0):
+            raise ConfigurationError(f"lil'UCB needs eps_lil, beta_lil >= 0 and lam_lil > 0: {p}")
         self.counts = [0] * n_arms
         self.sums = [0.0] * n_arms
         self._widths: list[float] = []

@@ -4,7 +4,6 @@ Outputs land in --output (default: current directory), overridable with the
 LDPBANDITS_OUTPUT_DIR environment variable.
 """
 
-import json
 import os
 import sys
 
@@ -32,12 +31,7 @@ def run(config_path, output, jobs, prefix):
     out_dir = output or output_dir()
     if config.algorithm == "bai":
         result = harness.run_bai(config, n_jobs=jobs)
-        path = os.path.join(out_dir, f"{prefix}_bai.json")
-        os.makedirs(out_dir, exist_ok=True)
-        payload = {key: result[key] for key in sorted(result) if key != "wall_clock"}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        path = emit(result, os.path.join(out_dir, f"{prefix}_bai.json"), "json")
         click.echo(f"success_rate={result['success_rate']} mean_pulls={result['mean_pulls']:.1f}")
         click.echo(path)
         return

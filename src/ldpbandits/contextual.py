@@ -63,15 +63,14 @@ def glm_sigma(privacy: PrivacyParams | None) -> float:
 class LinkFunction:
     """A known strictly increasing reward link g with its constants.
 
-    value_bound bounds |g| on [-1, 1], lipschitz bounds g', and curvature is
-    inf g' over (-1, 1); the pointwise loss is l(a, y) = -a y + m(a) with m
+    value_bound bounds |g| on [-1, 1] and curvature is inf g' over
+    (-1, 1); the pointwise loss is l(a, y) = -a y + m(a) with m
     the antiderivative of g, so the parameter gradient is (g(x.theta) - y) x.
     """
 
     g: Callable[[float], float]
     m: Callable[[float], float]
     value_bound: float
-    lipschitz: float
     curvature: float
 
     def loss(self, a: float, y: float) -> float:
@@ -100,7 +99,6 @@ def logistic_link() -> LinkFunction:
         g=_sigmoid,
         m=lambda a: math.log1p(math.exp(-abs(a))) + max(a, 0.0),
         value_bound=1.0,
-        lipschitz=0.25,
         curvature=g1 * (1.0 - g1),
     )
 
@@ -160,24 +158,24 @@ class LdpConfidence:
 class BaselineConfidence:
     """Standard non-private width for sigma = 0 baseline runs: fixed ridge
     regularizer lam and an OFUL-style radius
-    sqrt(lam) S + R sqrt(2 ln(1/alpha) + d ln(1 + t / (lam d)))."""
+    sqrt(lam) S + R sqrt(2 ln(1/alpha) + d ln(1 + t / (lam d))) with the
+    parameter bound S and the noise proxy R both 1."""
 
-    def __init__(self, d: int, horizon: int, alpha: float, lam: float = 1.0,
-                 param_bound: float = 1.0, noise_proxy: float = 1.0):
+    def __init__(self, d: int, horizon: int, alpha: float, lam: float = 1.0):
+        if not (0 < alpha < 1) or lam <= 0:
+            raise ConfigurationError(f"need alpha in (0, 1) and lam > 0, got {alpha}, {lam}")
         self.sigma = 0.0
         self.d = int(d)
         self.horizon = int(horizon)
         self.alpha = float(alpha)
         self.lam = float(lam)
-        self.param_bound = float(param_bound)
-        self.noise_proxy = float(noise_proxy)
 
     def c(self, t: int) -> float:
         return self.lam
 
     def _width(self, t: int) -> float:
         t = max(int(t), 1)
-        return math.sqrt(self.lam) * self.param_bound + self.noise_proxy * math.sqrt(
+        return math.sqrt(self.lam) + math.sqrt(
             2.0 * math.log(1.0 / self.alpha) + self.d * math.log(1.0 + t / (self.lam * self.d))
         )
 

@@ -144,7 +144,8 @@ class ExperimentConfig:
             privacy=privacy,
             checkpoints=int(doc.get("checkpoints", 20)),
         )
-        _ALGORITHMS[config.algorithm][0](config)
+        # building a replication runs every check a replication makes
+        _ALGORITHMS[config.algorithm](config, None, None)
         return config
 
     @staticmethod
@@ -152,7 +153,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "algorithm": self.algorithm,
             "horizon": self.horizon,
             "replications": self.replications,
@@ -164,7 +165,6 @@ class ExperimentConfig:
             else {"epsilon": self.privacy.epsilon, "delta": self.privacy.delta},
             "checkpoints": self.checkpoints,
         }
-        return doc
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -202,10 +202,12 @@ class SlopeFit:
 # ---------------------------------------------------------------------------
 # per-algorithm setups and the round loop
 #
-# A setup takes (config, rep, record) and returns step(t), which plays round
-# t and returns its ground-truth loss or regret, and comparator(t), the
-# hindsight-best total loss over rounds 1..t that a checkpoint subtracts
-# from the accumulated total (0 where step already returns regret).
+# A setup takes (config, rep, record), checks the config and returns
+# step(t), which plays round t and returns its ground-truth loss or regret,
+# and comparator(t), the hindsight-best total loss over rounds 1..t that a
+# checkpoint subtracts from the accumulated total (0 where step already
+# returns regret).  BAI's setup returns replicate(), its stop-rule loop.
+# from_dict builds with rep None, where every stream is None (_stream).
 # Steps look library calls up at call time (module globals such as
 # derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
 # them for timing wrappers sees every call.
@@ -213,6 +215,17 @@ class SlopeFit:
 
 def _no_comparator(t: int) -> float:
     return 0.0
+
+
+def _stream(config: ExperimentConfig, rep: int | None, role: str):
+    # None for rep None: the build that checks a config can then draw
+    # nothing, and it loads no sampler module into the calling process
+    return None if rep is None else derive_rng(config.base_seed, rep, role)
+
+
+def _params(config: ExperimentConfig, *allowed) -> dict:
+    _check_keys(config.algorithm_params, allowed, "algorithm_params")
+    return config.algorithm_params
 
 
 def _bco_set_and_oracle(config: ExperimentConfig):
@@ -240,26 +253,20 @@ def _bco_set_and_oracle(config: ExperimentConfig):
     return dset, oracle
 
 
-def _two_point_validate(config: ExperimentConfig):
-    _bco_set_and_oracle(config)
-    _check_keys(config.algorithm_params, ("mode", "eta", "rho", "xi"), "algorithm_params")
-    if config.algorithm_params.get("mode", "convex") not in ("convex", "strongly_convex"):
-        raise ConfigurationError("two-point mode must be convex or strongly_convex")
-
-
-def _two_point_setup(config: ExperimentConfig, rep: int, record):
+def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    params = config.algorithm_params
+    params = _params(config, "mode", "eta", "rho", "xi")
+    mode = params.get("mode", "convex")
+    if mode not in ("convex", "strongly_convex"):
+        raise ConfigurationError("two-point mode must be convex or strongly_convex")
     t_config = TwoPointConfig.for_horizon(
         config.privacy, oracle.lipschitz, config.horizon, dset.inner_radius,
         eta=params.get("eta"), rho=params.get("rho"), xi=params.get("xi"),
     )
-    mu = oracle.mu if params.get("mode", "convex") == "strongly_convex" else 0.0
-    learner = TwoPointBandit(
-        dset, t_config.eta, t_config.rho, t_config.xi,
-        derive_rng(config.base_seed, rep, "learner"), mu=mu,
-    )
-    noise_rng = derive_rng(config.base_seed, rep, "noise")
+    mu = oracle.mu if mode == "strongly_convex" else 0.0
+    learner = TwoPointBandit(dset, t_config.eta, t_config.rho, t_config.xi,
+                             _stream(config, rep, "learner"), mu=mu)
+    noise_rng = _stream(config, rep, "noise")
 
     def step(t):
         result = two_point_round(learner, lambda x: oracle.value(t, x), t_config, noise_rng)
@@ -268,22 +275,17 @@ def _two_point_setup(config: ExperimentConfig, rep: int, record):
     return step, lambda t: oracle.optimum(t)[1]
 
 
-def _one_point_validate(config: ExperimentConfig):
-    _bco_set_and_oracle(config)
-    _check_keys(config.algorithm_params, ("eta", "rho", "xi"), "algorithm_params")
-
-
-def _one_point_setup(config: ExperimentConfig, rep: int, record):
+def _one_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    params = config.algorithm_params
+    params = _params(config, "eta", "rho", "xi")
     o_config = OnePointConfig(privacy=config.privacy, loss_bound=oracle.bound)
     bound = effective_loss_bound(oracle.bound, o_config.sigma, config.horizon)
     eta, rho, xi = FkmBandit.default_parameters(dset, config.horizon, bound)
     eta = params.get("eta", eta)
     rho = params.get("rho", rho)
     xi = params.get("xi", xi)
-    learner = FkmBandit(dset, eta, rho, xi, derive_rng(config.base_seed, rep, "learner"))
-    noise_rng = derive_rng(config.base_seed, rep, "noise")
+    learner = FkmBandit(dset, eta, rho, xi, _stream(config, rep, "learner"))
+    noise_rng = _stream(config, rep, "noise")
 
     def step(t):
         return one_point_round(learner, lambda x: oracle.value(t, x), o_config,
@@ -292,7 +294,7 @@ def _one_point_setup(config: ExperimentConfig, rep: int, record):
     return step, lambda t: oracle.optimum(t)[1]
 
 
-def _mab_environment(config: ExperimentConfig, rep: int):
+def _mab_environment(config: ExperimentConfig, rep: int | None):
     """(environment, the best fixed arm's total loss over each prefix of an
     adversarial table; None for a stochastic environment)."""
     env = config.environment
@@ -306,8 +308,7 @@ def _mab_environment(config: ExperimentConfig, rep: int):
     if kind == "stochastic":
         if "means" not in env:
             raise ConfigurationError("stochastic MAB needs arm means")
-        rng = derive_rng(config.base_seed, rep, "environment")
-        return StochasticMab(env["means"], rng), None
+        return StochasticMab(env["means"], _stream(config, rep, "environment")), None
     n_arms = int(env.get("n_arms", 0)) or len(env.get("means", []))
     if n_arms < 2:
         raise ConfigurationError("adversarial MAB needs n_arms >= 2")
@@ -342,20 +343,13 @@ def _with_best_prefix(env: AdversarialMab):
     return env, best_prefix
 
 
-def _mab_validate(config: ExperimentConfig):
-    _mab_environment(config, 0)
-    _check_keys(config.algorithm_params, (), "algorithm_params")
-
-
-def _mab_setup(config: ExperimentConfig, rep: int, record):
+def _mab_setup(config: ExperimentConfig, rep: int | None, record):
     """Stochastic: expected regret per round.  Adversarial: the loss itself,
     less the best fixed arm's loss over each prefix at a checkpoint."""
+    _params(config)
     env, best_prefix = _mab_environment(config, rep)
-    learner = LdpMabLearner(
-        config.privacy, env.k,
-        derive_rng(config.base_seed, rep, "learner"),
-        derive_rng(config.base_seed, rep, "noise"),
-    )
+    learner = LdpMabLearner(config.privacy, env.k, _stream(config, rep, "learner"),
+                            _stream(config, rep, "noise"))
     stochastic = best_prefix is None
 
     def step(t):
@@ -369,51 +363,45 @@ def _mab_setup(config: ExperimentConfig, rep: int, record):
     return step, lambda t: float(best_prefix[t - 1])
 
 
-def _bai_validate(config: ExperimentConfig):
-    env = config.environment
-    _check_keys(env, ("reward_means",), "environment")
-    if "reward_means" not in env or len(env["reward_means"]) < 1:
-        raise ConfigurationError("BAI needs reward_means")
-    _check_keys(
-        config.algorithm_params,
-        ("gamma", "max_pulls", "eps_lil", "beta_lil", "lam_lil"),
-        "algorithm_params",
-    )
-
-
-def _bai_replication(config: ExperimentConfig, rep: int) -> dict:
-    """lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
-    means = [float(m) for m in config.environment["reward_means"]]
+def _bai_setup(config: ExperimentConfig, rep: int | None, record):
+    """Bernoulli arms with the given reward means; replicate() runs
+    lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
+    _check_keys(config.environment, ("reward_means",), "environment")
+    means = [float(m) for m in config.environment.get("reward_means", ())]
+    if not means or not all(0.0 <= m <= 1.0 for m in means):
+        raise ConfigurationError("BAI needs reward_means, each in [0, 1]")
     true_best = int(np.argmax(means))
-    params = config.algorithm_params
+    params = _params(config, "gamma", "max_pulls", "eps_lil", "beta_lil", "lam_lil")
     gamma = float(params.get("gamma", 0.1))
     max_pulls = int(params.get("max_pulls", config.horizon))
-    lil = LilUcbParams(
-        eps_lil=float(params.get("eps_lil", 0.01)),
-        beta_lil=float(params.get("beta_lil", 0.5)),
-        lam_lil=float(params.get("lam_lil", 9.0)),
-    )
-    env_rng = derive_rng(config.base_seed, rep, "environment")
-    learner = LdpBaiLearner(config.privacy, len(means), gamma,
-                            derive_rng(config.base_seed, rep, "noise"), lil)
-    pulls = 0
-    while not learner.stopped and pulls < max_pulls:
-        arm = learner.select()
-        reward = float(env_rng.random() < means[arm])
-        learner.observe(arm, reward)
-        pulls += 1
-    capped = not learner.stopped
-    learner.force_stop()
-    return {
-        "best": int(learner.best),
-        "true_best": true_best,
-        "success": bool(learner.best == true_best),
-        "pulls": pulls,
-        "capped": capped,
-    }
+    if max_pulls < 1:
+        raise ConfigurationError("max_pulls must be >= 1")
+    lil = LilUcbParams(**{key: float(params[key]) for key in ("eps_lil", "beta_lil", "lam_lil")
+                          if key in params})
+    env_rng = _stream(config, rep, "environment")
+    learner = LdpBaiLearner(config.privacy, len(means), gamma, _stream(config, rep, "noise"), lil)
+
+    def replicate() -> dict:
+        pulls = 0
+        while not learner.stopped and pulls < max_pulls:
+            arm = learner.select()
+            reward = float(env_rng.random() < means[arm])
+            learner.observe(arm, reward)
+            pulls += 1
+        capped = not learner.stopped
+        learner.force_stop()
+        return {
+            "best": int(learner.best),
+            "true_best": true_best,
+            "success": bool(learner.best == true_best),
+            "pulls": pulls,
+            "capped": capped,
+        }
+
+    return replicate
 
 
-def _contextual_setup(config: ExperimentConfig, rep: int, record, glm: bool):
+def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bool):
     env_doc = config.environment
     _check_keys(env_doc, ("dim", "n_arms", "theta_star", "link"), "environment")
     d = int(env_doc["dim"])
@@ -422,8 +410,7 @@ def _contextual_setup(config: ExperimentConfig, rep: int, record, glm: bool):
     if theta_star is None:
         theta_star = np.zeros(d)
         theta_star[0] = 1.0
-    params = config.algorithm_params
-    _check_keys(params, ("alpha", "kappa", "zeta", "baseline_lambda"), "algorithm_params")
+    params = _params(config, "alpha", "kappa", "zeta", "baseline_lambda")
     link = zeta = None
     if glm:
         link_name = env_doc.get("link", "logistic")
@@ -442,9 +429,9 @@ def _contextual_setup(config: ExperimentConfig, rep: int, record, glm: bool):
         conf = ctx.LdpConfidence(sigma, d, config.horizon, alpha,
                                  kappa=float(params.get("kappa", 1.0)))
     env = ContextualEnv(theta_star, n_arms,
-                        derive_rng(config.base_seed, rep, "environment"), link=link)
+                        _stream(config, rep, "environment"), link=link)
     server = ctx.ServerState(d, conf)
-    report_rng = derive_rng(config.base_seed, rep, "noise")
+    report_rng = _stream(config, rep, "noise")
 
     def step(t):
         rnd = env.step(t)
@@ -471,16 +458,14 @@ def _contextual_setup(config: ExperimentConfig, rep: int, record, glm: bool):
     return step, _no_comparator
 
 
-# algorithm -> (validation, setup); BAI's "setup" is its whole replication
+# algorithm -> setup(config, rep, record)
 _ALGORITHMS = {
-    "two_point_bco": (_two_point_validate, _two_point_setup),
-    "one_point_bco": (_one_point_validate, _one_point_setup),
-    "mab": (_mab_validate, _mab_setup),
-    "bai": (_bai_validate, _bai_replication),
-    "contextual_linear": (partial(_contextual_setup, rep=0, record=None, glm=False),
-                          partial(_contextual_setup, glm=False)),
-    "contextual_glm": (partial(_contextual_setup, rep=0, record=None, glm=True),
-                       partial(_contextual_setup, glm=True)),
+    "two_point_bco": _two_point_setup,
+    "one_point_bco": _one_point_setup,
+    "mab": _mab_setup,
+    "bai": _bai_setup,
+    "contextual_linear": partial(_contextual_setup, glm=False),
+    "contextual_glm": partial(_contextual_setup, glm=True),
 }
 
 
@@ -492,12 +477,12 @@ def run_replication(config: ExperimentConfig, rep: int, record: list | None = No
     (t, arm, reward, theta_tilde, beta, contained) row per round; it draws
     from no random stream, so the regrets are the same with and without it.
     """
-    setup = _ALGORITHMS[config.algorithm][1]
-    if config.algorithm == "bai":
-        return setup(config, rep)
     if record is not None and not config.algorithm.startswith("contextual_"):
         raise ConfigurationError(f"{config.algorithm} records no rounds")
-    step, comparator = setup(config, rep, record)
+    built = _ALGORITHMS[config.algorithm](config, rep, record)
+    if config.algorithm == "bai":
+        return built()
+    step, comparator = built
     marks = set(int(c) for c in checkpoint_grid(config.horizon, config.checkpoints))
     acc = RegretAccumulator()
     out = []
@@ -647,7 +632,8 @@ def output_dir(default: str = ".") -> str:
 
 
 def emit(obj, path: str, fmt: str = "csv") -> str:
-    """Write a RegretTrace or SlopeFit to path as csv or json.
+    """Write a RegretTrace or SlopeFit to path as csv or json, or a run_bai
+    result as json.
 
     Emission is byte-stable for identical inputs: floats use repr round-trip
     formatting and wall-clock diagnostics are excluded.
@@ -658,6 +644,9 @@ def emit(obj, path: str, fmt: str = "csv") -> str:
         text = _trace_csv(obj) if fmt == "csv" else _trace_json(obj)
     elif isinstance(obj, SlopeFit):
         text = _fit_csv(obj) if fmt == "csv" else _fit_json(obj)
+    elif isinstance(obj, dict) and fmt == "json":
+        payload = {key: value for key, value in obj.items() if key != "wall_clock"}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         raise ConfigurationError(f"cannot emit object of type {type(obj).__name__}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

@@ -456,6 +456,15 @@ def criterion_11(n_jobs=None) -> CriterionResult:
     vec = np.vstack([perturb_vector(np.zeros(3), 2.0, vec_rng) for _ in range(n // 4)])
     vec_ok = bool(np.all(np.abs(vec.var(axis=0) - 4.0) < 0.1))
 
+    # the two-point draw n . v with n ~ N(0, sigma^2 I): variance sigma^2 |v|^2
+    v = np.array([0.3, -0.4, 1.2])
+    dir_rng = derive_rng(111_879, 4, "noise")
+    directed = np.fromiter(
+        (perturb_scalar(0.0, 1.5, dir_rng, direction=v) for _ in range(n // 4)),
+        dtype=float, count=n // 4,
+    )
+    dir_ok = abs(directed.var() / (1.5**2 * float(v @ v)) - 1.0) < 0.02
+
     mat_rng = derive_rng(111_879, 2, "noise")
     entries = np.fromiter(
         (symmetric_gaussian_matrix(3, 3.0, mat_rng)[1, 2] for _ in range(100_000)),
@@ -467,10 +476,11 @@ def criterion_11(n_jobs=None) -> CriterionResult:
     for d in (2, 8, 32, 128):
         m = symmetric_gaussian_matrix(d, 1.0, derive_rng(111_879, 3, d))
         sym_ok = sym_ok and np.array_equal(m, m.T)
-    ok = mean_ok and var_ok and vec_ok and entry_ok and sym_ok
+    ok = mean_ok and var_ok and vec_ok and dir_ok and entry_ok and sym_ok
     return _result(11, "mechanism statistics", start, 30.0, ok, {
         "scalar_mean": f"{scalars.mean():.2e}", "scalar_var": round(float(scalars.var()), 4),
-        "vector_var_ok": vec_ok, "matrix_entry_var": round(float(entries.var()), 3),
+        "vector_var_ok": vec_ok, "direction_var": round(float(directed.var()), 4),
+        "matrix_entry_var": round(float(entries.var()), 3),
         "symmetry_exact": sym_ok,
     })
 

@@ -126,7 +126,7 @@ class TestConfidenceParams:
         from ldpbandits import LinkFunction
 
         link = LinkFunction(g=lambda a: a, m=lambda a: 0.5 * a * a,
-                            value_bound=1.0, lipschitz=1.0, curvature=0.25)
+                            value_bound=1.0, curvature=0.25)
         conf = LdpConfidence(sigma=1.0, d=4, horizon=1, alpha=2.0 / math.e)
         assert conf.beta_glm(4, link) == pytest.approx(4.0, rel=1e-12)
 
@@ -165,7 +165,6 @@ class TestLogisticLink:
         assert link.g(0.0) == pytest.approx(0.5)
         assert link.g(1.0) == pytest.approx(0.7310585786300049, rel=1e-12)
         assert link.curvature == pytest.approx(0.19661193324148185, rel=1e-12)
-        assert link.lipschitz == 0.25
         assert link.m(0.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):

@@ -100,6 +100,47 @@ class TestConfig:
         assert config.privacy.epsilon == 2.0
 
 
+_BCO = {"replications": 1, "base_seed": 1, "environment": {"dim": 2}, "privacy": None}
+_BAI = {"algorithm": "bai", "horizon": 100, "replications": 1, "base_seed": 1,
+        "environment": {"reward_means": [0.9, 0.4]}, "privacy": None}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_BCO, algorithm="two_point_bco", horizon=1),
+    dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": -1}),
+    dict(_BAI, algorithm_params={"gamma": 2.0}),
+    {"algorithm": "contextual_linear", "horizon": 100, "replications": 1, "base_seed": 1,
+     "environment": {"dim": 2}, "privacy": None, "algorithm_params": {"alpha": 2.0}},
+    {"algorithm": "contextual_linear", "horizon": 100, "replications": 1, "base_seed": 1,
+     "environment": {"dim": 2}, "privacy": None, "algorithm_params": {"baseline_lambda": 0}},
+    dict(_BAI, algorithm_params={"max_pulls": 0}),
+    dict(_BAI, environment={"reward_means": [1.5, 0.4]}),
+    dict(_BAI, algorithm_params={"eps_lil": -0.5}),
+    dict(_BAI, algorithm_params={"lam_lil": -1.0}),
+], ids=["two_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
+        "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
+        "bai_negative_eps", "bai_negative_lam"])
+def test_from_dict_rejects_what_a_replication_rejects(doc):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_from_dict_loads_no_sampler():
+    # the replication from_dict builds has no streams: checking a config
+    # draws nothing and leaves numpy.random out of the process
+    docs = [dict(_BCO, algorithm="two_point_bco", horizon=100),
+            dict(_BCO, algorithm="one_point_bco", horizon=100), mab_doc(),
+            SWITCHING_DOC, BAI_DOC, CONTEXTUAL_LINEAR_DOC, CONTEXTUAL_GLM_DOC]
+    proc = _run_script(f"""
+        import sys
+        from ldpbandits import ExperimentConfig
+        for doc in {docs!r}:
+            ExperimentConfig.from_dict(doc)
+        sys.exit("numpy.random" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestRegretAccumulator:
     def test_rejects_tainted_values(self):
         acc = RegretAccumulator()
@@ -409,6 +450,15 @@ class TestEmit:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             emit(self._trace(), str(tmp_path / "x.yaml"), "yaml")
+
+    def test_bai_result_json(self, tmp_path):
+        # the payload tests/test_golden.py pins: sorted keys, no wall_clock
+        result = run_bai(ExperimentConfig.from_dict(BAI_DOC), n_jobs=1)
+        payload = {key: result[key] for key in sorted(result) if key != "wall_clock"}
+        path = emit(result, str(tmp_path / "out" / "trace_bai.json"), "json")
+        assert open(path).read() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        with pytest.raises(ConfigurationError):
+            emit(result, str(tmp_path / "trace_bai.csv"), "csv")
 
 
 class TestTrajectoryDump:
