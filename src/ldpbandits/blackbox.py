@@ -63,10 +63,8 @@ class DecisionSet:
     def outer_radius(self) -> float:
         return self.radius + _norm(self.center)
 
-    def contains(self, x, shrink: float = 0.0, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        s = 1.0 - shrink
-        return _norm(x - s * self.center) <= s * self.radius + tol
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        return _norm(np.asarray(x, dtype=float) - self.center) <= self.radius + tol
 
 
 def _norm(v: np.ndarray) -> float:

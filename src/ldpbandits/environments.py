@@ -24,8 +24,9 @@ class StochasticMab:
 
     def __init__(self, means, rng: np.random.Generator):
         self.means = np.asarray(means, dtype=float)
-        if self.means.ndim != 1 or not np.all((0 <= self.means) & (self.means <= 1)):
-            raise ConfigurationError("arm means must be a vector in [0, 1]")
+        if (self.means.ndim != 1 or self.means.size == 0
+                or not np.all((0 <= self.means) & (self.means <= 1))):
+            raise ConfigurationError("arm means must be a nonempty vector in [0, 1]")
         self.k = self.means.size
         self.rng = rng
         self.best_mean = float(self.means.min())
@@ -82,6 +83,8 @@ class AdversarialMab:
             raise ConfigurationError("switching sequence needs at least 2 arms")
         if not (dip_loss < anchor_loss < off_loss):
             raise ConfigurationError("need dip_loss < anchor_loss < off_loss")
+        if n_blocks < 1:
+            raise ConfigurationError("switching sequence needs n_blocks >= 1")
         block = max(horizon // n_blocks, 1)
         table = np.full((horizon, n_arms), off_loss)
         table[:, 0] = anchor_loss
@@ -135,6 +138,9 @@ class AffineQuadraticOracle:
 
     def __init__(self, x_star, dset: DecisionSet, horizon: int,
                  drift_norm: float = 0.1, scale: float = 1.0, seed: int = 0):
+        if drift_norm < 0:
+            # a negative norm would shrink the declared bound below the real one
+            raise ConfigurationError("drift_norm must be >= 0")
         self.base = QuadraticOracle(x_star, dset, scale)
         self.dset = dset
         self.scale = float(scale)

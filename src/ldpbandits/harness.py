@@ -133,6 +133,8 @@ class ExperimentConfig:
         privacy = doc.get("privacy")
         if privacy is not None:
             _check_keys(privacy, ("epsilon", "delta"), "privacy")
+            if set(privacy) != {"epsilon", "delta"}:
+                raise ConfigurationError("privacy needs both epsilon and delta")
             privacy = PrivacyParams(epsilon=privacy["epsilon"], delta=privacy["delta"])
         config = ExperimentConfig(
             algorithm=doc["algorithm"],
@@ -228,16 +230,27 @@ def _params(config: ExperimentConfig, *allowed) -> dict:
     return config.algorithm_params
 
 
+def _dim_and_point(env: dict, key: str, first: float):
+    """(dim, env[key] as a dim-vector); the default point is first * e_1."""
+    dim = int(env.get("dim", 0))
+    if dim < 1:
+        raise ConfigurationError("environment needs dim >= 1")
+    point = env.get(key)
+    if point is None:
+        point = np.zeros(dim)
+        point[0] = first
+    point = np.asarray(point, dtype=float)
+    if point.shape != (dim,):
+        raise ConfigurationError(f"{key} must be a vector of dim = {dim} entries")
+    return dim, point
+
+
 def _bco_set_and_oracle(config: ExperimentConfig):
     env = config.environment
     _check_keys(env, ("kind", "dim", "radius", "x_star", "scale", "drift_norm"), "environment")
-    dim = int(env["dim"])
     radius = float(env.get("radius", 1.0))
+    dim, x_star = _dim_and_point(env, "x_star", 0.3 * radius)
     dset = DecisionSet.ball(radius, dim=dim)
-    x_star = env.get("x_star")
-    if x_star is None:
-        x_star = np.zeros(dim)
-        x_star[0] = 0.3 * radius
     kind = env.get("kind", "quadratic")
     scale = float(env.get("scale", 1.0))
     if kind == "quadratic":
@@ -404,12 +417,8 @@ def _bai_setup(config: ExperimentConfig, rep: int | None, record):
 def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bool):
     env_doc = config.environment
     _check_keys(env_doc, ("dim", "n_arms", "theta_star", "link"), "environment")
-    d = int(env_doc["dim"])
+    d, theta_star = _dim_and_point(env_doc, "theta_star", 1.0)
     n_arms = int(env_doc.get("n_arms", 10))
-    theta_star = env_doc.get("theta_star")
-    if theta_star is None:
-        theta_star = np.zeros(d)
-        theta_star[0] = 1.0
     params = _params(config, "alpha", "kappa", "zeta", "baseline_lambda")
     link = zeta = None
     if glm:
@@ -632,7 +641,7 @@ def output_dir(default: str = ".") -> str:
 
 
 def emit(obj, path: str, fmt: str = "csv") -> str:
-    """Write a RegretTrace or SlopeFit to path as csv or json, or a run_bai
+    """Write a RegretTrace to path as csv or json, or a SlopeFit or a run_bai
     result as json.
 
     Emission is byte-stable for identical inputs: floats use repr round-trip
@@ -642,13 +651,13 @@ def emit(obj, path: str, fmt: str = "csv") -> str:
         raise ConfigurationError(f"unknown emit format {fmt!r}")
     if isinstance(obj, RegretTrace):
         text = _trace_csv(obj) if fmt == "csv" else _trace_json(obj)
-    elif isinstance(obj, SlopeFit):
-        text = _fit_csv(obj) if fmt == "csv" else _fit_json(obj)
+    elif isinstance(obj, SlopeFit) and fmt == "json":
+        text = _fit_json(obj)
     elif isinstance(obj, dict) and fmt == "json":
         payload = {key: value for key, value in obj.items() if key != "wall_clock"}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        raise ConfigurationError(f"cannot emit object of type {type(obj).__name__}")
+        raise ConfigurationError(f"cannot emit a {type(obj).__name__} as {fmt}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
@@ -675,14 +684,6 @@ def _trace_json(trace: RegretTrace) -> str:
         "per_replication": [[float(v) for v in row] for row in trace.per_replication],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _fit_csv(fit: SlopeFit) -> str:
-    return (
-        "exponent,intercept,residual,window_start,window_end\n"
-        f"{fit.exponent!r},{fit.intercept!r},{fit.residual!r},"
-        f"{fit.window[0]},{fit.window[1]}\n"
-    )
 
 
 def _fit_json(fit: SlopeFit) -> str:

@@ -1,10 +1,11 @@
 """Named acceptance criteria: order-of-growth, identity, and statistical checks.
 
 Each criterion is a self-contained experiment with pinned tolerances; the
-suite prints one pass/fail line per criterion.  Instance parameters that the
-criteria leave free (privacy levels for the MAB/BAI/GLM suites, the
-adversarial switching loss values) are fixed here and documented in the
-README, calibrated once against the intended qualitative behavior.
+suite prints one pass/fail line per criterion.  Every document a regret
+criterion runs is in INSTANCES, by name, with the parameters the criteria
+leave free (privacy levels for the MAB/BAI/GLM suites, the adversarial
+switching losses), documented in the README and calibrated once against
+the intended qualitative behavior.
 
 Several order-of-growth criteria (1, 3, 6, 7) assert regret exponents that
 the noise-calibrated algorithms do not reach at these horizons; they are
@@ -40,12 +41,66 @@ from .mechanisms import (
     symmetric_gaussian_matrix,
 )
 from .reductions import (
+    MAB_LOSS_BOUND,
     OnePointConfig,
     TwoPointConfig,
     one_point_round,
     one_point_sigma,
     two_point_round,
 )
+
+# Every document a regret criterion runs, by name.  A BAI horizon is the
+# pull cap per replication.
+INSTANCES: dict[str, dict] = {
+    "criterion_1_two_point": {
+        "algorithm": "two_point_bco", "horizon": 100_000, "replications": 20,
+        "base_seed": 20_406, "environment": {"kind": "quadratic", "dim": 5},
+        "privacy": {"epsilon": 1.0, "delta": 1e-5}, "algorithm_params": {"mode": "convex"},
+    },
+    "criterion_3_one_point": {
+        "algorithm": "one_point_bco", "horizon": 200_000, "replications": 20,
+        "base_seed": 30_915, "environment": {"kind": "quadratic", "dim": 3},
+        "privacy": {"epsilon": 1.0, "delta": 1e-2},
+    },
+    "criterion_4_mab_switching": {
+        "algorithm": "mab", "horizon": 100_000, "replications": 50, "base_seed": 41_117,
+        "environment": {"kind": "adversarial_switching", "n_arms": 5, "anchor_loss": 0.45,
+                        "dip_loss": 0.44, "off_loss": 0.65, "n_blocks": 10},
+        "privacy": {"epsilon": 2.5, "delta": 1e-2},
+    },
+    "criterion_4_mab_stochastic": {
+        "algorithm": "mab", "horizon": 100_000, "replications": 50, "base_seed": 42_229,
+        "environment": {"kind": "stochastic", "means": [0.5, 0.3]},
+        "privacy": {"epsilon": 2.81, "delta": 0.1},
+    },
+    "criterion_5_bai_baseline": {
+        "algorithm": "bai", "horizon": 500_000, "replications": 200, "base_seed": 53_331,
+        "environment": {"reward_means": [0.9, 0.6, 0.4]}, "privacy": None,
+        "algorithm_params": {"gamma": 0.1},
+    },
+    "criterion_6_linear_ldp": {
+        "algorithm": "contextual_linear", "horizon": 200_000, "replications": 20,
+        "base_seed": 60_443, "environment": {"dim": 3, "n_arms": 10},
+        "privacy": {"epsilon": 1.0, "delta": 1e-2}, "algorithm_params": {"alpha": 0.1},
+    },
+    "criterion_7_glm": {
+        "algorithm": "contextual_glm", "horizon": 100_000, "replications": 20,
+        "base_seed": 70_551, "environment": {"dim": 3, "n_arms": 10, "link": "logistic"},
+        "privacy": {"epsilon": 1.0, "delta": 1e-2},
+        "algorithm_params": {"alpha": 0.1, "kappa": 1.0},
+    },
+}
+# the twins, each one decision away from the instance it is built from;
+# criterion 8 checks criterion 7's world over many short replications
+INSTANCES.update({
+    "criterion_2_two_point": dict(INSTANCES["criterion_1_two_point"],
+                                  algorithm_params={"mode": "strongly_convex"}),
+    "criterion_5_bai_ldp": dict(INSTANCES["criterion_5_bai_baseline"],
+                                privacy={"epsilon": 2.0, "delta": 1e-2}),
+    "criterion_6_linear_baseline": dict(INSTANCES["criterion_6_linear_ldp"], privacy=None),
+    "criterion_8_coverage": dict(INSTANCES["criterion_7_glm"], horizon=2000,
+                                 replications=200, base_seed=80_667),
+})
 
 
 @dataclass
@@ -64,13 +119,39 @@ class CriterionResult:
                 f"({self.runtime:.1f}s / budget {self.budget:.0f}s) {info}")
 
 
-def _result(cid, name, start, budget, ok, details) -> CriterionResult:
-    runtime = time.perf_counter() - start
-    details = dict(details)
-    if runtime > budget:
-        details["over_budget"] = f"{runtime:.1f}s"
-    return CriterionResult(cid=cid, name=name, passed=bool(ok) and runtime <= budget,
-                           runtime=runtime, budget=budget, details=details)
+# cid -> criterion(n_jobs=None) -> CriterionResult, filled by @criterion
+CRITERIA: dict = {}
+
+
+def criterion(cid: int, name: str, budget: float):
+    """Register check(n_jobs) -> (ok, details) as criterion cid, timed: a
+    check that runs past its budget fails, and its details say by how much."""
+    def register(check):
+        def run(n_jobs=None) -> CriterionResult:
+            start = time.perf_counter()
+            ok, details = check(n_jobs)
+            runtime = time.perf_counter() - start
+            if runtime > budget:
+                details["over_budget"] = f"{runtime:.1f}s"
+            return CriterionResult(cid=cid, name=name, passed=bool(ok) and runtime <= budget,
+                                   runtime=runtime, budget=budget, details=details)
+
+        CRITERIA[cid] = run
+        return run
+
+    return register
+
+
+def _config(name: str) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(INSTANCES[name])
+
+
+def _exponent(name: str, low: float, high: float, n_jobs):
+    """Run INSTANCES[name] and test its fitted regret exponent against
+    [low, high]: (ok, exponent to 4 places, the window as text, the trace)."""
+    trace = run_experiment(_config(name), n_jobs=n_jobs)
+    exponent = fit_slope(trace).exponent
+    return low <= exponent <= high, round(exponent, 4), f"[{low}, {high}]", trace
 
 
 def _interp(trace, t):
@@ -81,226 +162,118 @@ def _interp(trace, t):
 # 1-2: two-point BCO
 
 
-def _two_point_config(mode: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict({
-        "algorithm": "two_point_bco",
-        "horizon": 100_000,
-        "replications": 20,
-        "base_seed": 20_406,
-        "environment": {"kind": "quadratic", "dim": 5},
-        "privacy": {"epsilon": 1.0, "delta": 1e-5},
-        "algorithm_params": {"mode": mode},
-    })
+@criterion(1, "two-point convex exponent", 120.0)
+def criterion_1(n_jobs):
+    ok, exponent, window, trace = _exponent("criterion_1_two_point", 0.35, 0.65, n_jobs)
+    return ok, {"exponent": exponent, "window": window,
+                "final_regret": round(float(trace.mean[-1]), 1)}
 
 
-def criterion_1(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    trace = run_experiment(_two_point_config("convex"), n_jobs=n_jobs)
-    fit = fit_slope(trace)
-    ok = 0.35 <= fit.exponent <= 0.65
-    return _result(1, "two-point convex exponent", start, 120.0, ok, {
-        "exponent": round(fit.exponent, 4), "window": "[0.35, 0.65]",
-        "final_regret": round(float(trace.mean[-1]), 1),
-    })
-
-
-def criterion_2(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    config = _two_point_config("strongly_convex")
+@criterion(2, "two-point strongly convex log growth", 120.0)
+def criterion_2(n_jobs):
+    config = _config("criterion_2_two_point")
     trace = run_experiment(config, n_jobs=n_jobs)
-    horizon = config.horizon
-    ratio = _interp(trace, horizon) / _interp(trace, horizon // 4)
-    ok = ratio <= 2.5
-    return _result(2, "two-point strongly convex log growth", start, 120.0, ok, {
-        "regret_ratio_T_over_T4": round(ratio, 3), "required": "<= 2.5",
-    })
+    ratio = _interp(trace, config.horizon) / _interp(trace, config.horizon // 4)
+    return ratio <= 2.5, {"regret_ratio_T_over_T4": round(ratio, 3), "required": "<= 2.5"}
 
 
 # ---------------------------------------------------------------------------
 # 3: one-point BCO via sphere sampling
 
 
-def criterion_3(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    config = ExperimentConfig.from_dict({
-        "algorithm": "one_point_bco",
-        "horizon": 200_000,
-        "replications": 20,
-        "base_seed": 30_915,
-        "environment": {"kind": "quadratic", "dim": 3},
-        "privacy": {"epsilon": 1.0, "delta": 1e-2},
-    })
-    trace = run_experiment(config, n_jobs=n_jobs)
-    fit = fit_slope(trace)
-    ok = 0.6 <= fit.exponent <= 0.9
-    return _result(3, "one-point convex exponent", start, 300.0, ok, {
-        "exponent": round(fit.exponent, 4), "window": "[0.6, 0.9]",
-        "final_regret": round(float(trace.mean[-1]), 1),
-    })
+@criterion(3, "one-point convex exponent", 300.0)
+def criterion_3(n_jobs):
+    ok, exponent, window, trace = _exponent("criterion_3_one_point", 0.6, 0.9, n_jobs)
+    return ok, {"exponent": exponent, "window": window,
+                "final_regret": round(float(trace.mean[-1]), 1)}
 
 
 # ---------------------------------------------------------------------------
 # 4: MAB via the one-point reduction around Tsallis-INF
 
-MAB_ADVERSARIAL = {
-    "algorithm": "mab",
-    "horizon": 100_000,
-    "replications": 50,
-    "base_seed": 41_117,
-    "environment": {"kind": "adversarial_switching", "n_arms": 5,
-                    "anchor_loss": 0.45, "dip_loss": 0.44, "off_loss": 0.65,
-                    "n_blocks": 10},
-    "privacy": {"epsilon": 2.5, "delta": 1e-2},
-}
 
-MAB_STOCHASTIC = {
-    "algorithm": "mab",
-    "horizon": 100_000,
-    "replications": 50,
-    "base_seed": 42_229,
-    "environment": {"kind": "stochastic", "means": [0.5, 0.3]},
-    "privacy": {"epsilon": 2.81, "delta": 0.1},
-}
-
-
-def criterion_4(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    adv = run_experiment(ExperimentConfig.from_dict(MAB_ADVERSARIAL), n_jobs=n_jobs)
-    fit = fit_slope(adv)
-    adv_ok = 0.35 <= fit.exponent <= 0.7
-
-    sto = run_experiment(ExperimentConfig.from_dict(MAB_STOCHASTIC), n_jobs=n_jobs)
-    horizon = MAB_STOCHASTIC["horizon"]
-    marks = [horizon // 8, horizon // 4, horizon // 2, horizon]
-    values = [_interp(sto, m) for m in marks]
+@criterion(4, "LDP MAB switching + stochastic signature", 180.0)
+def criterion_4(n_jobs):
+    adv_ok, exponent, window, _ = _exponent("criterion_4_mab_switching", 0.35, 0.7, n_jobs)
+    config = _config("criterion_4_mab_stochastic")
+    sto = run_experiment(config, n_jobs=n_jobs)
+    values = [_interp(sto, config.horizon // k) for k in (8, 4, 2, 1)]
     increments = [values[i + 1] - values[i] for i in range(3)]
     sto_ok = increments[0] > increments[1] > increments[2]
-    return _result(4, "LDP MAB switching + stochastic signature", start, 180.0,
-                   adv_ok and sto_ok, {
-        "adversarial_exponent": round(fit.exponent, 4), "adv_window": "[0.35, 0.7]",
+    return adv_ok and sto_ok, {
+        "adversarial_exponent": exponent, "adv_window": window,
         "stochastic_increments": [round(v, 1) for v in increments],
         "decreasing": sto_ok,
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
 # 5: BAI via the one-point reduction around lil'UCB
 
-BAI_BASE = {
-    "algorithm": "bai",
-    "horizon": 500_000,  # pull cap per replication
-    "replications": 200,
-    "base_seed": 53_331,
-    "environment": {"reward_means": [0.9, 0.6, 0.4]},
-    "algorithm_params": {"gamma": 0.1},
-}
 
-
-def criterion_5(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    private_doc = dict(BAI_BASE, privacy={"epsilon": 2.0, "delta": 1e-2})
-    private = run_bai(ExperimentConfig.from_dict(private_doc), n_jobs=n_jobs)
+@criterion(5, "LDP best-arm identification", 180.0)
+def criterion_5(n_jobs):
+    private_config = _config("criterion_5_bai_ldp")
+    private = run_bai(private_config, n_jobs=n_jobs)
     success_ok = private["success_rate"] >= 0.9
 
-    nonprivate = run_bai(ExperimentConfig.from_dict(dict(BAI_BASE)), n_jobs=n_jobs)
-    sigma = one_point_sigma(PrivacyParams(2.0, 1e-2), 0.5)
+    nonprivate = run_bai(_config("criterion_5_bai_baseline"), n_jobs=n_jobs)
+    # lil'UCB's variance proxy, 1/4 for a Bernoulli reward, grows by sigma^2
+    sigma = one_point_sigma(private_config.privacy, MAB_LOSS_BOUND)
     proxy_ratio = (0.25 + sigma**2) / 0.25
     pull_ratio = private["mean_pulls"] / nonprivate["mean_pulls"]
     ratio_ok = 0.5 * proxy_ratio <= pull_ratio <= 1.5 * proxy_ratio
-    return _result(5, "LDP best-arm identification", start, 180.0,
-                   success_ok and ratio_ok, {
+    return success_ok and ratio_ok, {
         "success_rate": private["success_rate"], "required": ">= 0.9",
         "pull_ratio": round(pull_ratio, 2),
         "proxy_ratio_window": f"[{0.5 * proxy_ratio:.2f}, {1.5 * proxy_ratio:.2f}]",
         "capped_runs": private["capped_runs"],
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
 # 6-7: contextual bandits
 
 
-def criterion_6(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    base = {
-        "algorithm": "contextual_linear",
-        "horizon": 200_000,
-        "replications": 20,
-        "base_seed": 60_443,
-        "environment": {"dim": 3, "n_arms": 10},
-        "algorithm_params": {"alpha": 0.1},
+@criterion(6, "LDP contextual linear order gap", 600.0)
+def criterion_6(n_jobs):
+    private_ok, private_exp, private_window, _ = _exponent(
+        "criterion_6_linear_ldp", 0.6, 0.9, n_jobs)
+    baseline_ok, baseline_exp, baseline_window, _ = _exponent(
+        "criterion_6_linear_baseline", 0.35, 0.65, n_jobs)
+    return private_ok and baseline_ok, {
+        "ldp_exponent": private_exp, "ldp_window": private_window,
+        "baseline_exponent": baseline_exp, "baseline_window": baseline_window,
     }
-    private = run_experiment(
-        ExperimentConfig.from_dict(dict(base, privacy={"epsilon": 1.0, "delta": 1e-2})),
-        n_jobs=n_jobs,
-    )
-    private_fit = fit_slope(private)
-    private_ok = 0.6 <= private_fit.exponent <= 0.9
-
-    baseline = run_experiment(ExperimentConfig.from_dict(dict(base)), n_jobs=n_jobs)
-    baseline_fit = fit_slope(baseline)
-    baseline_ok = 0.35 <= baseline_fit.exponent <= 0.65
-    return _result(6, "LDP contextual linear order gap", start, 600.0,
-                   private_ok and baseline_ok, {
-        "ldp_exponent": round(private_fit.exponent, 4), "ldp_window": "[0.6, 0.9]",
-        "baseline_exponent": round(baseline_fit.exponent, 4),
-        "baseline_window": "[0.35, 0.65]",
-    })
 
 
-def criterion_7(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    config = ExperimentConfig.from_dict({
-        "algorithm": "contextual_glm",
-        "horizon": 100_000,
-        "replications": 20,
-        "base_seed": 70_551,
-        "environment": {"dim": 3, "n_arms": 10, "link": "logistic"},
-        "privacy": {"epsilon": 1.0, "delta": 1e-2},
-        "algorithm_params": {"alpha": 0.1, "kappa": 1.0},
-    })
-    trace = run_experiment(config, n_jobs=n_jobs)
-    fit = fit_slope(trace)
-    ok = 0.6 <= fit.exponent <= 0.95
-    return _result(7, "LDP GLM bandit exponent", start, 600.0, ok, {
-        "exponent": round(fit.exponent, 4), "window": "[0.6, 0.95]",
-    })
+@criterion(7, "LDP GLM bandit exponent", 600.0)
+def criterion_7(n_jobs):
+    ok, exponent, window, _ = _exponent("criterion_7_glm", 0.6, 0.95, n_jobs)
+    return ok, {"exponent": exponent, "window": window}
 
 
 # ---------------------------------------------------------------------------
 # 8: confidence-ellipsoid coverage
 
-COVERAGE_DOC = {
-    "algorithm": "contextual_glm",
-    "horizon": 2000,
-    "replications": 200,
-    "base_seed": 80_667,
-    "environment": {"dim": 3, "n_arms": 10, "link": "logistic"},
-    "privacy": {"epsilon": 1.0, "delta": 1e-2},
-    "algorithm_params": {"alpha": 0.1, "kappa": 1.0},
-}
 
-
-def _coverage_replication(config: ExperimentConfig, rep: int) -> tuple[int, int]:
-    """(rounds whose ellipsoid contains theta*, rounds) for replication rep."""
+def _coverage_hits(config: ExperimentConfig, rep: int) -> int:
+    """The rounds of replication rep whose ellipsoid contains theta*."""
     rows: list[tuple] = []
     run_replication(config, rep, record=rows)
-    return sum(row[5] for row in rows), len(rows)
+    return sum(row[5] for row in rows)
 
 
-def criterion_8(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
-    config = ExperimentConfig.from_dict(COVERAGE_DOC)
-    counts = _map_replications(partial(_coverage_replication, config),
-                               range(config.replications), n_jobs)
-    hits = sum(c for c, _ in counts)
-    total = sum(n for _, n in counts)
+@criterion(8, "GLM confidence-ellipsoid coverage", 120.0)
+def criterion_8(n_jobs):
+    config = _config("criterion_8_coverage")
+    hits = sum(_map_replications(partial(_coverage_hits, config),
+                                 range(config.replications), n_jobs))
+    total = config.horizon * config.replications  # one record row per round
     fraction = hits / total
-    ok = fraction >= 0.9
-    return _result(8, "GLM confidence-ellipsoid coverage", start, 120.0, ok, {
-        "containment": round(fraction, 4), "required": ">= 0.9",
-        "rounds_checked": total,
-    })
+    return fraction >= 0.9, {
+        "containment": round(fraction, 4), "required": ">= 0.9", "rounds_checked": total,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +328,13 @@ def _two_point_pair_identical(seed: int, horizon: int) -> bool:
     return True
 
 
-def criterion_9(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
+@criterion(9, "reduction-equivalence identities", 10.0)
+def criterion_9(n_jobs):
     one_ok = all(_one_point_pair_identical(seed, 150) for seed in range(10))
     two_ok = all(_two_point_pair_identical(seed, 150) for seed in range(10))
-    return _result(9, "reduction-equivalence identities", start, 10.0,
-                   one_ok and two_ok, {
-        "one_point_bit_identical": one_ok, "two_point_bit_identical": two_ok,
-        "seeds": 10,
-    })
+    return one_ok and two_ok, {
+        "one_point_bit_identical": one_ok, "two_point_bit_identical": two_ok, "seeds": 10,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +357,10 @@ def _mpmath():
     return mpmath
 
 
-def criterion_10(n_jobs=None) -> CriterionResult:
+@criterion(10, "formula exactness", 1.0)
+def criterion_10(n_jobs):
     mpmath = _mpmath()
     mpmath.mp.dps = 50
-    start = time.perf_counter()
     rng = np.random.default_rng(90_771)
     worst = 0.0
     for _ in range(100):
@@ -432,18 +403,15 @@ def criterion_10(n_jobs=None) -> CriterionResult:
                 + (mpmath.sqrt(3 * ups) + msigma * mpmath.sqrt(md * mt / ups))
                 * md * mpmath.log(mT))
         worst = max(worst, rel(conf.beta_linear(t), beta))
-    ok = worst < 1e-12
-    return _result(10, "formula exactness", start, 1.0, ok, {
-        "worst_relative_error": f"{worst:.2e}", "required": "< 1e-12",
-    })
+    return worst < 1e-12, {"worst_relative_error": f"{worst:.2e}", "required": "< 1e-12"}
 
 
 # ---------------------------------------------------------------------------
 # 11: mechanism statistics at n = 10^6
 
 
-def criterion_11(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
+@criterion(11, "mechanism statistics", 30.0)
+def criterion_11(n_jobs):
     n = 1_000_000
     rng = derive_rng(111_879, 0, "noise")
     scalars = np.fromiter(
@@ -476,21 +444,20 @@ def criterion_11(n_jobs=None) -> CriterionResult:
     for d in (2, 8, 32, 128):
         m = symmetric_gaussian_matrix(d, 1.0, derive_rng(111_879, 3, d))
         sym_ok = sym_ok and np.array_equal(m, m.T)
-    ok = mean_ok and var_ok and vec_ok and dir_ok and entry_ok and sym_ok
-    return _result(11, "mechanism statistics", start, 30.0, ok, {
+    return mean_ok and var_ok and vec_ok and dir_ok and entry_ok and sym_ok, {
         "scalar_mean": f"{scalars.mean():.2e}", "scalar_var": round(float(scalars.var()), 4),
         "vector_var_ok": vec_ok, "direction_var": round(float(directed.var()), 4),
         "matrix_entry_var": round(float(entries.var()), 3),
         "symmetry_exact": sym_ok,
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
 # 12: gradient correctness
 
 
-def criterion_12(n_jobs=None) -> CriterionResult:
-    start = time.perf_counter()
+@criterion(12, "gradient correctness", 30.0)
+def criterion_12(n_jobs):
     link = ctx.logistic_link()
     rng = np.random.default_rng(121_993)
     h = 1e-6
@@ -537,18 +504,10 @@ def criterion_12(n_jobs=None) -> CriterionResult:
                      - f(y_point - e + rho * ball).mean()) / (2 * step)
     mc_error = float(np.linalg.norm(est - oracle))
     mc_ok = mc_error < 0.05
-    ok = grad_ok and mc_ok
-    return _result(12, "gradient correctness", start, 30.0, ok, {
+    return grad_ok and mc_ok, {
         "glm_fd_worst_error": f"{worst:.2e}", "required_fd": "< 1e-6",
         "two_point_mc_error": round(mc_error, 4), "required_mc": "< 0.05",
-    })
-
-
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-}
+    }
 
 
 def run_suite(ids=("all",), n_jobs=None) -> list[CriterionResult]:

@@ -2,12 +2,15 @@
 
 The serial-against-parallel and repeat-against-repeat checks elsewhere would
 not notice a change that moves every output the same way.  These digests pin
-the bytes themselves.  Each config in configs/ and each criterion instance
-that the benchmark's workloads are built from runs at horizon 200 with 4
-replications (BAI: 8 replications with a pull cap of 10,000, so that the
-private replications stop by lil'UCB's rule) on one job, and its emitted
-CSV + JSON (BAI: the sorted payload the CLI writes, without wall_clock) is
-hashed.
+the bytes themselves.  Each config in configs/ and each document in
+suites.INSTANCES (every instance an acceptance criterion runs, read from
+there, so a change to what a criterion runs moves its digest) runs at
+horizon 200 with 4 replications (BAI: 8 replications with a pull cap of
+10,000, so that the private replications stop by lil'UCB's rule) on one
+job, and its emitted CSV + JSON (BAI: the sorted payload the CLI writes,
+without wall_clock) is hashed.  The contextual instances are also pinned
+across three environment blocks, and their per-round records (trajectory
+rows, criterion 8's containment flags) at short horizons.
 
 A digest changes only when the emitted numbers change.  Such a change must
 be explained where it is made, and the digest recomputed with
@@ -23,82 +26,13 @@ import pytest
 from ldpbandits import ExperimentConfig, emit, run_bai, run_experiment
 from ldpbandits.environments import BLOCK_ROUNDS
 from ldpbandits.harness import run_replication, trajectory_csv
-from ldpbandits.suites import COVERAGE_DOC
+from ldpbandits.suites import INSTANCES
 
 ROOT = Path(__file__).resolve().parent.parent
 HORIZON = 200
 REPLICATIONS = 4
 BAI_CAP = 10_000
 BAI_REPLICATIONS = 8
-
-_BAI = {
-    "algorithm": "bai",
-    "horizon": 500_000,
-    "replications": 200,
-    "base_seed": 53_331,
-    "environment": {"reward_means": [0.9, 0.6, 0.4]},
-    "algorithm_params": {"gamma": 0.1},
-}
-
-# Criteria 1, 3, 4 (both worlds), 5 (private and non-private), 6 (private)
-# and 7, as in suites.py.
-CRITERION_DOCS = {
-    "criterion_1_two_point": {
-        "algorithm": "two_point_bco",
-        "horizon": 100_000,
-        "replications": 20,
-        "base_seed": 20_406,
-        "environment": {"kind": "quadratic", "dim": 5},
-        "privacy": {"epsilon": 1.0, "delta": 1e-5},
-        "algorithm_params": {"mode": "convex"},
-    },
-    "criterion_3_one_point": {
-        "algorithm": "one_point_bco",
-        "horizon": 200_000,
-        "replications": 20,
-        "base_seed": 30_915,
-        "environment": {"kind": "quadratic", "dim": 3},
-        "privacy": {"epsilon": 1.0, "delta": 1e-2},
-    },
-    "criterion_4_mab_switching": {
-        "algorithm": "mab",
-        "horizon": 100_000,
-        "replications": 50,
-        "base_seed": 41_117,
-        "environment": {"kind": "adversarial_switching", "n_arms": 5,
-                        "anchor_loss": 0.45, "dip_loss": 0.44, "off_loss": 0.65,
-                        "n_blocks": 10},
-        "privacy": {"epsilon": 2.5, "delta": 1e-2},
-    },
-    "criterion_4_mab_stochastic": {
-        "algorithm": "mab",
-        "horizon": 100_000,
-        "replications": 50,
-        "base_seed": 42_229,
-        "environment": {"kind": "stochastic", "means": [0.5, 0.3]},
-        "privacy": {"epsilon": 2.81, "delta": 0.1},
-    },
-    "criterion_5_bai_ldp": dict(_BAI, privacy={"epsilon": 2.0, "delta": 1e-2}),
-    "criterion_5_bai_baseline": _BAI,
-    "criterion_6_linear_ldp": {
-        "algorithm": "contextual_linear",
-        "horizon": 200_000,
-        "replications": 20,
-        "base_seed": 60_443,
-        "environment": {"dim": 3, "n_arms": 10},
-        "privacy": {"epsilon": 1.0, "delta": 1e-2},
-        "algorithm_params": {"alpha": 0.1},
-    },
-    "criterion_7_glm": {
-        "algorithm": "contextual_glm",
-        "horizon": 100_000,
-        "replications": 20,
-        "base_seed": 70_551,
-        "environment": {"dim": 3, "n_arms": 10, "link": "logistic"},
-        "privacy": {"epsilon": 1.0, "delta": 1e-2},
-        "algorithm_params": {"alpha": 0.1, "kappa": 1.0},
-    },
-}
 
 GOLDEN = {
     "configs/bai_private.json":
@@ -111,6 +45,8 @@ GOLDEN = {
         "5705dc3df988980919e6f869639793f51b3d3064d5621ca951c780918b499aea",
     "criterion_1_two_point":
         "5705dc3df988980919e6f869639793f51b3d3064d5621ca951c780918b499aea",
+    "criterion_2_two_point":
+        "5e568448c66b58ef1ba2b19e0f41712cc7c1171b23b2b27600b7be7dd7d43fba",
     "criterion_3_one_point":
         "db8b002074ca97b79c18b30ae3fb2e7cf716b74198280ef4c2ca4bef1dc6fb6c",
     "criterion_4_mab_stochastic":
@@ -121,10 +57,14 @@ GOLDEN = {
         "6824d0471869bcefa49f48b18a55d76768b4c738438c9c18518dc38432d5c38e",
     "criterion_5_bai_ldp":
         "95705abfc8731765f44660d2526175cb19039c780f11dcac5280d3a9ad73302c",
+    "criterion_6_linear_baseline":
+        "52493bf9626ab711cf63c70c36aba01e9d1e69c6a2f5afebb0307a43b92fa4ef",
     "criterion_6_linear_ldp":
         "462c79f1f251dd04a19e82a38ee09ac3b27ed10e085d6efca1b747bdb89a1f7e",
     "criterion_7_glm":
         "43b93c605f9c34fdb2d46b873ab02ccb41553dd19591359f3df023b399b17499",
+    "criterion_8_coverage":
+        "f6cb966352def094c8bba1e345d6a322c29c6d2898c7329206989363e6c2312a",
 }
 
 
@@ -132,7 +72,7 @@ def _doc(name: str) -> dict:
     if name.startswith("configs/"):
         doc = json.loads((ROOT / name).read_text())
     else:
-        doc = dict(CRITERION_DOCS[name])
+        doc = dict(INSTANCES[name])
     if doc["algorithm"] == "bai":
         doc.update(horizon=BAI_CAP, replications=BAI_REPLICATIONS)
     else:
@@ -158,7 +98,7 @@ def emitted_digest(doc: dict, out_dir: Path) -> str:
 
 def test_every_config_is_pinned():
     configs = {f"configs/{p.name}" for p in (ROOT / "configs").glob("*.json")}
-    assert configs | set(CRITERION_DOCS) == set(GOLDEN)
+    assert configs | set(INSTANCES) == set(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -170,14 +110,6 @@ def test_golden_digest(name, tmp_path):
 # crosses three of the contextual environment's block boundaries; every
 # contextual digest above fits inside its first block.
 MULTI_BLOCK_HORIZON = 800
-MULTI_BLOCK_DOCS = {
-    "criterion_6_linear_ldp": CRITERION_DOCS["criterion_6_linear_ldp"],
-    "criterion_6_linear_baseline": {
-        key: value for key, value in CRITERION_DOCS["criterion_6_linear_ldp"].items()
-        if key != "privacy"
-    },
-    "criterion_7_glm": CRITERION_DOCS["criterion_7_glm"],
-}
 MULTI_BLOCK_GOLDEN = {
     "criterion_6_linear_baseline":
         "386c3bd8bdeffe027602fe4e09989c94a2e30f712e5c8a15b90bbecef4016765",
@@ -189,7 +121,7 @@ MULTI_BLOCK_GOLDEN = {
 
 
 def _multi_block_doc(name: str) -> dict:
-    return dict(MULTI_BLOCK_DOCS[name], horizon=MULTI_BLOCK_HORIZON, replications=2)
+    return dict(INSTANCES[name], horizon=MULTI_BLOCK_HORIZON, replications=2)
 
 
 def test_multi_block_horizon_crosses_three_boundaries():
@@ -221,7 +153,7 @@ TRAJECTORY_GOLDEN = {
     "linear": "91a8feff5774c164c6c2091040b2ff336e6d48fbd183498088b84dee3ccdbdb5",
 }
 COVERAGE_DOCS = {
-    "criterion_8": dict(COVERAGE_DOC, horizon=300, replications=4),
+    "criterion_8": dict(INSTANCES["criterion_8_coverage"], horizon=300, replications=4),
     "glm_baseline": {
         "algorithm": "contextual_glm", "horizon": 300, "replications": 2,
         "base_seed": 2, "environment": {"dim": 2, "n_arms": 3}, "privacy": None,
@@ -277,7 +209,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(GOLDEN):
             print(f'    "{key}": "{emitted_digest(_doc(key), Path(tmp))}",')
-        for key in sorted(MULTI_BLOCK_DOCS):
+        for key in sorted(MULTI_BLOCK_GOLDEN):
             print(f'    "{key}": "{emitted_digest(_multi_block_doc(key), Path(tmp))}",')
         for key in sorted(TRAJECTORY_GOLDEN):
             print(f'    "{key}": "{trajectory_digest(key, Path(tmp))}",')

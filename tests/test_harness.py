@@ -103,23 +103,39 @@ class TestConfig:
 _BCO = {"replications": 1, "base_seed": 1, "environment": {"dim": 2}, "privacy": None}
 _BAI = {"algorithm": "bai", "horizon": 100, "replications": 1, "base_seed": 1,
         "environment": {"reward_means": [0.9, 0.4]}, "privacy": None}
+_CONTEXTUAL = {"algorithm": "contextual_linear", "horizon": 100, "replications": 1,
+               "base_seed": 1, "environment": {"dim": 2}, "privacy": None}
+_MAB = mab_doc(horizon=100)
 
 
 @pytest.mark.parametrize("doc", [
     dict(_BCO, algorithm="two_point_bco", horizon=1),
     dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": -1}),
     dict(_BAI, algorithm_params={"gamma": 2.0}),
-    {"algorithm": "contextual_linear", "horizon": 100, "replications": 1, "base_seed": 1,
-     "environment": {"dim": 2}, "privacy": None, "algorithm_params": {"alpha": 2.0}},
-    {"algorithm": "contextual_linear", "horizon": 100, "replications": 1, "base_seed": 1,
-     "environment": {"dim": 2}, "privacy": None, "algorithm_params": {"baseline_lambda": 0}},
+    dict(_CONTEXTUAL, algorithm_params={"alpha": 2.0}),
+    dict(_CONTEXTUAL, algorithm_params={"baseline_lambda": 0}),
     dict(_BAI, algorithm_params={"max_pulls": 0}),
     dict(_BAI, environment={"reward_means": [1.5, 0.4]}),
     dict(_BAI, algorithm_params={"eps_lil": -0.5}),
     dict(_BAI, algorithm_params={"lam_lil": -1.0}),
+    dict(_CONTEXTUAL, environment={"dim": 2, "theta_star": [1.0, 0.0, 0.0]}),
+    dict(_BCO, algorithm="two_point_bco", horizon=100,
+         environment={"dim": 2, "x_star": [0.3, 0.0, 0.0]}),
+    dict(_BCO, algorithm="two_point_bco", horizon=100, environment={"dim": 0}),
+    dict(_CONTEXTUAL, environment={"dim": 0}),
+    dict(_BCO, algorithm="one_point_bco", horizon=100, environment={"dim": -1}),
+    dict(_BCO, algorithm="one_point_bco", horizon=100, environment={}),
+    dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 3, "n_blocks": 0}),
+    dict(_BCO, algorithm="two_point_bco", horizon=100,
+         environment={"kind": "affine_quadratic", "dim": 2, "drift_norm": -1}),
+    dict(_MAB, privacy={"epsilon": 1.0}),
+    dict(_MAB, environment={"kind": "stochastic", "means": []}),
 ], ids=["two_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
         "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
-        "bai_negative_eps", "bai_negative_lam"])
+        "bai_negative_eps", "bai_negative_lam", "theta_star_longer_than_dim",
+        "x_star_longer_than_dim", "bco_dim_0", "contextual_dim_0", "bco_dim_negative",
+        "bco_no_dim", "switching_no_blocks", "affine_negative_drift", "privacy_no_delta",
+        "mab_no_means"])
 def test_from_dict_rejects_what_a_replication_rejects(doc):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict(doc)
@@ -444,8 +460,8 @@ class TestEmit:
         json_path = emit(fit, str(tmp_path / "fit.json"), "json")
         doc = json.loads(open(json_path).read())
         assert doc["exponent"] == pytest.approx(0.5, abs=1e-9)
-        csv_path = emit(fit, str(tmp_path / "fit.csv"), "csv")
-        assert open(csv_path).readline().startswith("exponent,")
+        with pytest.raises(ConfigurationError):
+            emit(fit, str(tmp_path / "fit.csv"), "csv")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
