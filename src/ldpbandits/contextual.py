@@ -36,11 +36,23 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # NumPy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .blackbox import _norm
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .mechanisms import PrivacyParams, perturb_vector, symmetric_gaussian_matrix
 
 EIG_FLOOR = 1e-8
+# Below this dimension the report's symmetry check and the server's Gershgorin
+# screen loop over Python floats, which beats NumPy's per-call cost; from it on
+# they use NumPy. Below 8 terms NumPy's pairwise row sum is a plain
+# left-to-right loop, so the Python screen keeps NumPy's bits.
+_SMALL_D = 8
+# Below this many arms, max and min over a Python list beat NumPy's reductions.
+_SMALL_K = 32
 
 
 def linear_sigma(privacy: PrivacyParams | None) -> float:
@@ -78,7 +90,7 @@ class LinkFunction:
 
     def gradient(self, x: np.ndarray, y: float, theta: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (self.g(float(x @ theta)) - y) * x
+        return (self.g(float(x.dot(theta))) - y) * x
 
 
 def _sigmoid(a: float) -> float:
@@ -122,6 +134,8 @@ class LdpConfidence:
         self.alpha = float(alpha)
         self.kappa = float(kappa)
         self._log_factor = 4.0 * math.sqrt(d) + 2.0 * math.log(2.0 * horizon / alpha)
+        self._dlnt = self.d * math.log(self.horizon)
+        self._beta_floor = 2.0 * self.sigma * math.sqrt(self._dlnt)
 
     def upsilon(self, t: int) -> float:
         """Upsilon_t = sigma sqrt(t) (4 sqrt(d) + 2 ln(2T/alpha)); t=0 maps to t=1."""
@@ -135,12 +149,9 @@ class LdpConfidence:
         t = max(int(t), 1)
         if self.sigma == 0.0:
             return 0.0
-        dlnt = self.d * math.log(self.horizon)
         ups = self.upsilon(t)
-        return (
-            2.0 * self.sigma * math.sqrt(self.d * math.log(self.horizon))
-            + (math.sqrt(3.0 * ups) + self.sigma * math.sqrt(self.d * t / ups)) * dlnt
-        )
+        return self._beta_floor + (
+            math.sqrt(3.0 * ups) + self.sigma * math.sqrt(self.d * t / ups)) * self._dlnt
 
     def beta_glm(self, t: int, link: LinkFunction) -> float:
         t = max(int(t), 1)
@@ -190,7 +201,7 @@ class BaselineConfidence:
 # reports and server state
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocalReport:
     """One user's perturbed message: noisy gram, noisy moment, and (GLM only)
     a noisy loss gradient."""
@@ -200,8 +211,23 @@ class LocalReport:
     gradient: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.array_equal(self.gram, self.gram.T):
+        if not _symmetric(self.gram):
             raise ContractViolation("report gram matrix must be symmetric")
+
+
+def _symmetric(gram: np.ndarray) -> bool:
+    """np.array_equal(gram, gram.T); below _SMALL_D, by Python float
+    comparisons, so a NaN anywhere (the diagonal included) makes it False."""
+    if gram.ndim != 2 or gram.shape[0] >= _SMALL_D:
+        return np.array_equal(gram, gram.T)
+    if gram.shape[0] != gram.shape[1]:
+        return False
+    rows = gram.tolist()
+    for i, row in enumerate(rows):
+        for j in range(i + 1):
+            if row[j] != rows[j][i]:
+                return False
+    return True
 
 
 def linear_local_report(x, y: float, sigma: float,
@@ -228,7 +254,7 @@ def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
     if _norm(theta_hat) > 1.0 + 1e-9:
         raise ContractViolation("rough estimate left the unit ball")
     gram = x[:, None] * x + symmetric_gaussian_matrix(x.size, sigma, rng)
-    moment = perturb_vector(float(x @ theta_hat) * x, sigma, rng)
+    moment = perturb_vector(float(x.dot(theta_hat)) * x, sigma, rng)
     grad = perturb_vector(link.gradient(x, y, theta_hat), link.value_bound * sigma, rng)
     return LocalReport(gram=gram, moment=moment, gradient=grad)
 
@@ -263,19 +289,35 @@ class ServerState:
         m = self.vbar + c * self._eye
         # Gershgorin lower bound screens out the common well-conditioned case;
         # the exact eigenvalue check runs only when the bound is inconclusive.
-        diag = m.diagonal()
-        gershgorin = diag - (np.abs(m).sum(axis=1) - np.abs(diag))
-        if float(gershgorin.min()) < EIG_FLOOR:
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < EIG_FLOOR:
-                m = m + (EIG_FLOOR - min_eig) * self._eye
-                self.clamp_count += 1
+        if not self._gershgorin_below_floor(m):
+            return m
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < EIG_FLOOR:
+            m = m + (EIG_FLOOR - min_eig) * self._eye
+            self.clamp_count += 1
         return m
+
+    def _gershgorin_below_floor(self, m: np.ndarray) -> bool:
+        """min_i m_ii - sum_{j != i} |m_ij| < EIG_FLOOR, with NumPy's row
+        sums: in Python floats left to right below _SMALL_D, and in NumPy
+        from it on."""
+        if self.d >= _SMALL_D:
+            diag = m.diagonal()
+            gershgorin = diag - (np.abs(m).sum(axis=1) - np.abs(diag))
+            return float(gershgorin.min()) < EIG_FLOOR
+        for i, row in enumerate(m.tolist()):
+            total = 0.0
+            for v in row:
+                total += abs(v)
+            diag = row[i]
+            if diag - (total - abs(diag)) < EIG_FLOOR:
+                return True
+        return False
 
     def _accumulate(self, report: LocalReport):
         self.t += 1
-        self.vbar = self.vbar + report.gram
-        self.u = self.u + report.moment
+        self.vbar += report.gram
+        self.u += report.moment
         self.reg = self._regularize(self.conf.c(self.t))
         try:
             self.theta_tilde = _solve(self.reg, self.u)
@@ -289,31 +331,45 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     It calls the LAPACK gufunc that np.linalg.solve dispatches to, so the
     result has the same bits, but skips the per-call type dispatch that is
-    most of np.linalg.solve's cost at d = 3.
+    most of np.linalg.solve's cost at d = 3.  A singular a makes the gufunc
+    fill its output with NaN and raise the floating-point invalid flag. Under
+    NumPy's default error state the flag only warns, so a RuntimeWarning
+    ("invalid value encountered in solve") comes before the LinAlgError that
+    the NaN output decides. Where the caller's error state or warning filters
+    turn the flag into a FloatingPointError or RuntimeWarning exception, that
+    exception becomes the LinAlgError.
     """
     gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
     try:
-        # The gufunc raises the invalid flag for a singular a, and only then.
-        with np.errstate(invalid="raise"):
-            return gufunc(a, b, signature="dd->d")
-    except FloatingPointError:
+        x = gufunc(a, b, signature="dd->d")
+    except (FloatingPointError, RuntimeWarning):
         raise np.linalg.LinAlgError("Singular matrix") from None
+    first = x.item(0)
+    if first != first:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def _optimistic_argmax(theta: np.ndarray, reg: np.ndarray, beta: float,
                        arms: np.ndarray) -> int:
     """argmax of <theta, x> + beta * |x|_{reg^{-1}}; ties go to the lowest index."""
     arms = np.asarray(arms, dtype=float)
-    if float(np.einsum("kd,kd->k", arms, arms).max()) > 1.0 + 3e-9:
+    small = len(arms) < _SMALL_K
+    # c_einsum is what np.einsum calls without optimize, minus its dispatch
+    norms = c_einsum("kd,kd->k", arms, arms)
+    if (max(norms.tolist()) if small else float(norms.max())) > 1.0 + 3e-9:
         raise ContractViolation("arm norms must be <= 1")
     try:
         solved = _solve(reg, arms.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized matrix not invertible: {exc}")
-    quad = np.einsum("kd,dk->k", arms, solved)
-    if float(quad.min()) < -1e-10:
+    quad = c_einsum("kd,dk->k", arms, solved)
+    lowest = min(quad.tolist()) if small else float(quad.min())
+    if lowest < -1e-10:
         raise NumericalError("regularized matrix lost positive definiteness")
-    index = arms @ theta + beta * np.sqrt(np.maximum(quad, 0.0))
+    if lowest < 0.0:
+        quad = np.maximum(quad, 0.0)
+    index = arms.dot(theta) + beta * np.sqrt(quad)
     return int(index.argmax())
 
 

@@ -8,6 +8,7 @@ feed the noise calibrations, so they are enforced rather than estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -145,13 +146,17 @@ class AffineQuadraticOracle:
         self.dset = dset
         self.scale = float(scale)
         self.x_star = self.base.x_star
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-        raw = rng.standard_normal((horizon, self.x_star.size))
-        self.drifts = drift_norm * raw / np.linalg.norm(raw, axis=1)[:, None]
         self.horizon = horizon
+        self._drift_key = (seed, horizon, self.x_star.size, float(drift_norm))
         self.bound = self.base.bound + drift_norm * dset.outer_radius
         self.lipschitz = self.base.lipschitz + drift_norm
         self.mu = self.base.mu
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        """The (horizon, dim) drift table, drawn at the first value or
+        optimum: building an oracle to check a config draws nothing."""
+        return _drift_table(*self._drift_key)
 
     def value(self, t: int, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -166,6 +171,19 @@ class AffineQuadraticOracle:
         diff = x_opt - self.x_star
         total = horizon * self.scale * float(diff @ diff) + float(a_sum @ x_opt)
         return x_opt, total
+
+
+@lru_cache(maxsize=1)
+def _drift_table(seed: int, horizon: int, dim: int, drift_norm: float) -> np.ndarray:
+    """Unit Gaussian directions scaled to drift_norm, one row per round. Only
+    the last parameter set's table is kept (40 MB at T = 1e6, d = 5): every
+    replication of a config asks for the same one and shares it, so it is
+    read-only."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
+    raw = rng.standard_normal((horizon, dim))
+    drifts = drift_norm * raw / np.linalg.norm(raw, axis=1)[:, None]
+    drifts.flags.writeable = False
+    return drifts
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +204,7 @@ def _to_ball(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContextualRound:
     arms: np.ndarray
     best_arm: int
@@ -262,11 +280,11 @@ class ContextualEnv:
         if u is None:
             raise ContractViolation("reward needs a round opened by step, once per round")
         self._open = None
-        a = float(np.asarray(x, dtype=float) @ self.theta_star)
+        a = float(np.asarray(x, dtype=float).dot(self.theta_star))
         if self.link is None:
             return a + (-1.0 + 2.0 * u)  # rng.uniform(-1.0, 1.0)'s formula
         return float(u < self.link.g(a))
 
     def instant_regret(self, rnd: ContextualRound, arm: int) -> float:
-        chosen = float(rnd.arms[arm] @ self.theta_star)
+        chosen = float(rnd.arms[arm].dot(self.theta_star))
         return rnd.best_value - self._mean_value(chosen)

@@ -176,6 +176,15 @@ class TestAffineQuadraticOracle:
         b = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=5)
         assert np.array_equal(a.drifts, b.drifts)
 
+    def test_drift_table_drawn_once_and_read_only(self):
+        dset = DecisionSet.ball(1.0, dim=2)
+        a = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6)
+        b = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6)
+        assert a.drifts is b.drifts
+        assert not a.drifts.flags.writeable
+        other = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6, drift_norm=0.2)
+        assert other.drifts is not a.drifts
+
 
 class TestContextualEnv:
     def test_single_arm_zero_regret(self):

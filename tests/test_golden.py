@@ -106,6 +106,21 @@ def test_golden_digest(name, tmp_path):
     assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name]
 
 
+# A BCO run on the drifting oracle, which no config or criterion runs: its
+# drift table is drawn once per process and shared by every replication.
+AFFINE_DOC = {
+    "algorithm": "one_point_bco", "horizon": HORIZON, "replications": REPLICATIONS,
+    "base_seed": 30_915,
+    "environment": {"kind": "affine_quadratic", "dim": 3, "drift_norm": 0.1},
+    "privacy": {"epsilon": 1.0, "delta": 1e-2},
+}
+AFFINE_GOLDEN = "fdf27eff68929ed69bc42dc1dd3ac26cc28e9dac30a719fee08b8aedbcb03941"
+
+
+def test_affine_digest(tmp_path):
+    assert emitted_digest(AFFINE_DOC, tmp_path) == AFFINE_GOLDEN
+
+
 # Criterion 6 (private and non-private) and criterion 7 at a horizon that
 # crosses three of the contextual environment's block boundaries; every
 # contextual digest above fits inside its first block.
@@ -209,6 +224,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(GOLDEN):
             print(f'    "{key}": "{emitted_digest(_doc(key), Path(tmp))}",')
+        print(f'AFFINE_GOLDEN = "{emitted_digest(AFFINE_DOC, Path(tmp))}"')
         for key in sorted(MULTI_BLOCK_GOLDEN):
             print(f'    "{key}": "{emitted_digest(_multi_block_doc(key), Path(tmp))}",')
         for key in sorted(TRAJECTORY_GOLDEN):

@@ -144,8 +144,10 @@ def test_from_dict_rejects_what_a_replication_rejects(doc):
 def test_from_dict_loads_no_sampler():
     # the replication from_dict builds has no streams: checking a config
     # draws nothing and leaves numpy.random out of the process
+    affine = {"dim": 2, "kind": "affine_quadratic"}
     docs = [dict(_BCO, algorithm="two_point_bco", horizon=100),
-            dict(_BCO, algorithm="one_point_bco", horizon=100), mab_doc(),
+            dict(_BCO, algorithm="one_point_bco", horizon=100),
+            dict(_BCO, algorithm="one_point_bco", horizon=100, environment=affine), mab_doc(),
             SWITCHING_DOC, BAI_DOC, CONTEXTUAL_LINEAR_DOC, CONTEXTUAL_GLM_DOC]
     proc = _run_script(f"""
         import sys

@@ -5,6 +5,7 @@ nearly the same numbers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,24 @@ from ldpbandits import (
     ContractViolation,
     LilUcb,
     LilUcbParams,
+    NumericalError,
     TsallisInf,
     derive_rng,
     symmetric_gaussian_matrix,
 )
 from ldpbandits.blackbox import _norm, _tsallis_newton, _tsallis_unnormalized
-from ldpbandits.contextual import _solve, glm_local_report, linear_local_report, logistic_link
+from ldpbandits.contextual import (
+    EIG_FLOOR,
+    BaselineConfidence,
+    LdpConfidence,
+    LocalReport,
+    ServerState,
+    _optimistic_argmax,
+    _solve,
+    glm_local_report,
+    linear_local_report,
+    logistic_link,
+)
 from ldpbandits.environments import BLOCK_ROUNDS, ContextualRound, _to_ball
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -217,8 +230,18 @@ def test_solve_matches_linalg_solve(d, k, seed):
 
 @pytest.mark.parametrize("rhs", [np.ones(3), np.ones((3, 4))])
 def test_solve_rejects_singular_matrix(rhs):
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve(np.zeros((3, 3)), rhs)
+    # the gufunc's invalid flag is not trapped: NumPy warns, then _solve raises
+    for a in (np.zeros((3, 3)), np.ones((3, 3))):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(a, rhs)
+        # a caller that traps the flag still gets LinAlgError
+        with np.errstate(invalid="raise"), pytest.raises(np.linalg.LinAlgError):
+            _solve(a, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(a, rhs)
 
 
 def reference_symmetric(d: int, sigma: float, rng) -> np.ndarray:
@@ -269,6 +292,249 @@ def test_local_report_grams_match_outer(d, sigma, seed):
     glm = glm_local_report(x, 1.0, theta_hat, logistic_link(), sigma,
                            derive_rng(seed, "reference"))
     assert bits(glm.gram) == bits(np.outer(x, x) + noise)
+
+
+# NumPy copies of the server's and the index's per-round code as it was
+# before the kernels moved to Python floats and direct gufunc calls.
+
+
+def reference_solve(a, b):
+    gufunc = np.linalg._umath_linalg.solve1 if b.ndim == 1 else np.linalg._umath_linalg.solve
+    try:
+        with np.errstate(invalid="raise"):
+            return gufunc(a, b, signature="dd->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
+def reference_screen(m) -> bool:
+    diag = m.diagonal()
+    gershgorin = diag - (np.abs(m).sum(axis=1) - np.abs(diag))
+    return float(gershgorin.min()) < EIG_FLOOR
+
+
+def reference_regularize(vbar, c):
+    """(regularized matrix, whether it was clamped)."""
+    eye = np.eye(vbar.shape[0])
+    m = vbar + c * eye
+    if reference_screen(m):
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < EIG_FLOOR:
+            return m + (EIG_FLOOR - min_eig) * eye, True
+    return m, False
+
+
+def reference_argmax(theta, reg, beta, arms) -> int:
+    arms = np.asarray(arms, dtype=float)
+    if float(np.einsum("kd,kd->k", arms, arms).max()) > 1.0 + 3e-9:
+        raise ContractViolation("arm norms must be <= 1")
+    try:
+        solved = reference_solve(reg, arms.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"regularized matrix not invertible: {exc}")
+    quad = np.einsum("kd,dk->k", arms, solved)
+    if float(quad.min()) < -1e-10:
+        raise NumericalError("regularized matrix lost positive definiteness")
+    index = arms @ theta + beta * np.sqrt(np.maximum(quad, 0.0))
+    return int(index.argmax())
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def noisy_gram_sum(d: int, rounds: int, sigma: float, rng) -> np.ndarray:
+    """A server's running sum of reports: outer products plus symmetric noise."""
+    vbar = np.zeros((d, d))
+    for _ in range(rounds):
+        x = rng.standard_normal(d)
+        x /= max(1.0, float(np.linalg.norm(x)))
+        vbar += np.outer(x, x) + reference_symmetric(d, sigma, rng)
+    return vbar
+
+
+@SETTINGS
+@given(st.integers(1, 10), st.integers(0, 40), st.floats(0.0, 50.0),
+       st.floats(0.0, 100.0), st.integers(0, 2**32 - 1))
+def test_regularize_matches_numpy_screen(d, rounds, sigma, c, seed):
+    # d from 8 on takes the NumPy screen, whose row sums are pairwise there
+    vbar = noisy_gram_sum(d, rounds, sigma, np.random.default_rng(seed))
+    server = ServerState(d, BaselineConfidence(d, 100, 0.1))
+    server.vbar = vbar
+    ref, clamped = reference_regularize(vbar, c)
+    assert bits(server._regularize(c)) == bits(ref)
+    assert server.clamp_count == int(clamped)
+
+
+@SETTINGS
+@given(st.integers(1, 10), st.integers(1, 40), st.floats(0.1, 50.0),
+       st.integers(-4, 4), st.integers(0, 2**32 - 1))
+def test_screen_decides_as_numpy_at_its_edge(d, rounds, sigma, ulps, seed):
+    # c puts the lowest Gershgorin bound within a few ulps of the floor, where
+    # a row sum in another order would flip the decision
+    vbar = noisy_gram_sum(d, rounds, sigma, np.random.default_rng(seed))
+    absolute = np.abs(vbar)
+    bound = float((vbar.diagonal() - (absolute.sum(axis=1) - absolute.diagonal())).min())
+    c = EIG_FLOOR - bound
+    c += ulps * float(np.spacing(c))
+    server = ServerState(d, BaselineConfidence(d, 100, 0.1))
+    server.vbar = vbar
+    m = vbar + c * np.eye(d)
+    assert server._gershgorin_below_floor(m) == reference_screen(m)
+    ref, clamped = reference_regularize(vbar, c)
+    assert bits(server._regularize(c)) == bits(ref)
+    assert server.clamp_count == int(clamped)
+
+
+def test_regularize_clamps_an_indefinite_sum():
+    vbar = np.diag([-2.0, 1.0, 3.0])
+    server = ServerState(3, BaselineConfidence(3, 100, 0.1))
+    server.vbar = vbar
+    ref, clamped = reference_regularize(vbar, 1.0)
+    assert clamped
+    assert bits(server._regularize(1.0)) == bits(ref)
+    assert server.clamp_count == 1
+
+
+def random_arms(k: int, d: int, rng) -> np.ndarray:
+    g = rng.standard_normal((k, d))
+    return _to_ball(g, rng.random(k))
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.one_of(st.integers(1, 12), st.integers(30, 40)),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(["spd", "ties", "tiny_negative", "negative", "singular", "long_arm"]))
+def test_optimistic_argmax_matches_numpy_reference(d, k, seed, case):
+    # k from 30 to 40 crosses the switch to NumPy's reductions at 32 arms
+    rng = np.random.default_rng(seed)
+    arms = random_arms(k, d, rng)
+    theta = rng.standard_normal(d)
+    beta = float(rng.uniform(0.0, 50.0))
+    reg = noisy_gram_sum(d, 5, 0.0, rng) + float(rng.uniform(1e-3, 10.0)) * np.eye(d)
+    if case == "ties":  # equal indices: the lowest index wins
+        arms[rng.integers(k, size=k)] = arms[0]
+        theta[:] = 0.0
+    elif case in ("tiny_negative", "negative"):
+        # one negative direction, so that quad < 0 along e_1: in [-1e-10, 0)
+        # the index clips it to 0, below -1e-10 both raise; one arm lies on e_1
+        reg = np.eye(d)
+        reg[0, 0] = -1e12 if case == "tiny_negative" else -1e6
+        arms[rng.integers(k), 1:] = 0.0
+        arms[:, 0] = rng.uniform(-1.0, 1.0, k) * np.sqrt(1.0 - (arms[:, 1:] ** 2).sum(axis=1))
+    elif case == "singular":
+        reg = np.zeros((d, d))
+    elif case == "long_arm":
+        arms[-1] *= (1.0 + 1e-8) / float(np.linalg.norm(arms[-1]))
+    expected = outcome(reference_argmax, theta, reg, beta, arms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the singular solve warns
+        assert outcome(_optimistic_argmax, theta, reg, beta, arms) == expected
+
+
+def test_optimistic_argmax_clips_tiny_negative_quad():
+    # arm 1's quad is -1e-14: clipped, it ties with arm 0 (unclipped, its
+    # index would be NaN, which argmax would pick)
+    arms = np.array([[0.0, 0.0], [1e-1, 0.0]])
+    reg = np.diag([-1e12, 1.0])
+    quad = np.einsum("kd,dk->k", arms, np.linalg.solve(reg, arms.T))
+    assert -1e-10 <= quad.min() < 0.0
+    assert _optimistic_argmax(np.zeros(2), reg, 1.0, arms) == reference_argmax(
+        np.zeros(2), reg, 1.0, arms) == 0
+
+
+def gram_cases(d: int, rng):
+    """Square and non-square grams, symmetric or not, with signed zeros and NaN."""
+    g = rng.standard_normal((d, d))
+    sym = g + g.T
+    yield sym
+    yield g
+    i, j = (0, d - 1)
+    zeros = sym.copy()
+    zeros[i, j], zeros[j, i] = 0.0, -0.0
+    yield zeros
+    for (a, b) in ((i, i), (i, j)):
+        nan = sym.copy()
+        nan[a, b] = nan[b, a] = np.nan
+        yield nan
+    yield rng.standard_normal((d, d + 1))
+    yield sym[0]
+    yield np.array(1.0)
+
+
+@SETTINGS
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_local_report_rejects_what_array_equal_rejects(d, seed):
+    for gram in gram_cases(d, np.random.default_rng(seed)):
+        rejected = not np.array_equal(gram, gram.T)
+        try:
+            LocalReport(gram=gram, moment=np.zeros(d))
+        except ContractViolation:
+            assert rejected, gram
+        else:
+            assert not rejected, gram
+
+
+def reference_upsilon(sigma, d, horizon, alpha, t):
+    t = max(int(t), 1)
+    return sigma * math.sqrt(t) * (4.0 * math.sqrt(d) + 2.0 * math.log(2.0 * horizon / alpha))
+
+
+def reference_beta_linear(sigma, d, horizon, alpha, t):
+    t = max(int(t), 1)
+    if sigma == 0.0:
+        return 0.0
+    dlnt = d * math.log(horizon)
+    ups = reference_upsilon(sigma, d, horizon, alpha, t)
+    return (2.0 * sigma * math.sqrt(d * math.log(horizon))
+            + (math.sqrt(3.0 * ups) + sigma * math.sqrt(d * t / ups)) * dlnt)
+
+
+def reference_beta_glm(sigma, d, horizon, alpha, kappa, link, t):
+    t = max(int(t), 1)
+    if sigma == 0.0:
+        return 0.0
+    return math.sqrt(kappa * (link.value_bound * sigma / link.curvature)
+                     * math.sqrt(d * t) * math.log(2.0 * horizon / alpha))
+
+
+@SETTINGS
+@given(st.floats(0.0, 100.0), st.integers(1, 6), st.integers(2, 10**7),
+       st.floats(1e-6, 0.99), st.floats(1e-3, 10.0),
+       st.lists(st.integers(0, 10**7), max_size=10))
+def test_widths_match_their_formulas(sigma, d, horizon, alpha, kappa, ts):
+    # the hoisted constants keep the formulas' bits
+    link = logistic_link()
+    ldp = LdpConfidence(sigma, d, horizon, alpha, kappa)
+    for t in ts:
+        assert bits(ldp.upsilon(t)) == bits(reference_upsilon(sigma, d, horizon, alpha, t))
+        assert bits(ldp.c(t)) == bits(2.0 * reference_upsilon(sigma, d, horizon, alpha, t))
+        assert bits(ldp.beta_linear(t)) == bits(
+            reference_beta_linear(sigma, d, horizon, alpha, t))
+        assert bits(ldp.beta_glm(t, link)) == bits(
+            reference_beta_glm(sigma, d, horizon, alpha, kappa, link, t))
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_glm_report_matches_matmul_reference(d, sigma, y, seed):
+    x = unit_ball_point(d, seed)
+    theta_hat = unit_ball_point(d, seed + 1)
+    link = logistic_link()
+    report = glm_local_report(x, y, theta_hat, link, sigma, derive_rng(seed, "report"))
+    ref = derive_rng(seed, "report")
+    noise = reference_symmetric(d, sigma, ref) if sigma > 0 else np.zeros((d, d))
+    z = float(x @ theta_hat)
+    moment = z * x + (ref.normal(0.0, sigma, size=d) if sigma > 0 else 0.0)
+    grad = (link.g(z) - y) * x
+    grad = grad + ref.normal(0.0, sigma, size=d) if sigma > 0 else grad
+    assert bits(report.gram) == bits(np.outer(x, x) + noise)
+    assert bits(report.moment) == bits(moment)
+    assert bits(report.gradient) == bits(grad)
 
 
 class PerRoundContextualEnv(ContextualEnv):
