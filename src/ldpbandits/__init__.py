@@ -56,6 +56,7 @@ from .harness import (
     run_experiment,
 )
 from .mechanisms import (
+    DrawAhead,
     PrivacyParams,
     calibrate_gaussian,
     derive_rng,

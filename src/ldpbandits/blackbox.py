@@ -11,16 +11,25 @@ Contains:
 
 Learner state is owned by a single actor; methods mutate the instance.  Any
 number of independent learners can run concurrently.
+
+The convex learners keep their points and directions as lists of Python
+floats under one fixed rule: elementwise operations in the order of the
+NumPy expressions they stand for, dots and norms summed left to right from
+0.0 (never with builtin sum or math.fsum, whose rounding differs), then
+math.sqrt.  Their bits therefore do not depend on the host's BLAS kernel or
+SIMD width.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, sub
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
+from .mechanisms import DrawAhead
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +46,10 @@ class DecisionSet:
 
     center: np.ndarray
     radius: float
+    _c: tuple = field(init=False, repr=False, compare=False)  # center as floats
+
+    def __post_init__(self):
+        object.__setattr__(self, "_c", tuple(np.asarray(self.center, dtype=float).tolist()))
 
     @staticmethod
     def ball(radius: float, center=None, dim: int | None = None) -> "DecisionSet":
@@ -47,7 +60,7 @@ class DecisionSet:
                 raise ConfigurationError("ball needs a center or an explicit dim")
             center = np.zeros(dim)
         center = np.asarray(center, dtype=float)
-        if _norm(center) >= radius:
+        if _norm(center.tolist()) >= radius:
             raise ConfigurationError("ball must contain the origin strictly")
         return DecisionSet(center=center, radius=float(radius))
 
@@ -57,49 +70,65 @@ class DecisionSet:
 
     @property
     def inner_radius(self) -> float:
-        return self.radius - _norm(self.center)
+        return self.radius - _norm(self._c)
 
     @property
     def outer_radius(self) -> float:
-        return self.radius + _norm(self.center)
+        return self.radius + _norm(self._c)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        return _norm(np.asarray(x, dtype=float) - self.center) <= self.radius + tol
+        """Is the point x (a sequence of floats) within the radius, up to tol?"""
+        return _norm(map(sub, x, self._c)) <= self.radius + tol
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float vector.
+def _dot(a, b) -> float:
+    """a . b for two sequences of floats, summed left to right."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
-    The formula np.linalg.norm itself uses for such a vector, so the bits
-    agree, without its dispatch cost on the per-round paths.
-    """
-    return math.sqrt(v.dot(v))
+
+def _norm(v) -> float:
+    """Euclidean norm of an iterable of floats: the squares summed left to
+    right, then math.sqrt."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
 
 
-def project(point, dset: DecisionSet, shrink: float = 0.0) -> np.ndarray:
-    """Euclidean projection of point onto (1 - shrink) * dset.
+def project(point, dset: DecisionSet, shrink: float = 0.0) -> list[float]:
+    """Euclidean projection of point (a sequence of floats) onto
+    (1 - shrink) * dset, as a list of floats.
 
     The shrunken set is the original scaled about the origin.  Idempotent.
     """
     if not (0 <= shrink < 1):
         raise ConfigurationError(f"shrink must be in [0, 1), got {shrink}")
-    p = np.asarray(point, dtype=float)
     s = 1.0 - shrink
-    c = s * dset.center
-    r = s * dset.radius
-    diff = p - c
+    return _project([float(a) for a in point], [s * c for c in dset._c], s * dset.radius)
+
+
+def _project(p: list[float], c: list[float], r: float) -> list[float]:
+    """The projection of p onto the ball of radius r about c; p itself
+    when it lies inside."""
+    diff = list(map(sub, p, c))
     norm = _norm(diff)
     if norm <= r:
-        return p.copy()
-    return c + diff * (r / norm)
+        return p
+    scale = r / norm
+    return [a + b * scale for a, b in zip(c, diff)]
 
 
-def _uniform_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
+def _uniform_unit_vector(d: int, stream: DrawAhead) -> list[float]:
+    """u / |u| for u the stream's next d standard normals; a u of norm at
+    most 1e-12 is drawn again."""
     while True:
-        u = rng.standard_normal(d)
+        u = stream.normals(d)
         norm = _norm(u)
         if norm > 1e-12:
-            return u / norm
+            return [x / norm for x in u]
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +141,12 @@ class FkmBandit:
     Per round: the center moves against the previous round's estimate, then a
     fresh uniform unit direction u is drawn and the query y + rho * u is
     played.  The center lives in the shrunken set (1 - xi) * X, which keeps
-    every query inside X as long as rho <= xi * inner_radius.
+    every query inside X as long as rho <= xi * inner_radius.  y, u and the
+    query are lists of floats.
     """
 
     def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
-                 rng: np.random.Generator):
+                 rng: DrawAhead):
         if rho <= 0 or eta <= 0:
             raise ConfigurationError("eta and rho must be positive")
         if not (0 <= xi < 1):
@@ -132,9 +162,10 @@ class FkmBandit:
         self.rho = float(rho)
         self.xi = float(xi)
         self.rng = rng
-        self.y = np.zeros(self.d)
-        self.last_u = np.zeros(self.d)
+        self.y = [0.0] * self.d
+        self.last_u = [0.0] * self.d
         self.t = 0
+        self._shrunk = ([(1.0 - self.xi) * c for c in dset._c], (1.0 - self.xi) * dset.radius)
 
     @staticmethod
     def default_parameters(dset: DecisionSet, horizon: int, loss_bound: float):
@@ -150,13 +181,17 @@ class FkmBandit:
         return eta, rho, xi
 
     def observe(self, feedback: float):
-        grad = (self.d / self.rho) * float(feedback) * self.last_u
-        self.y = project(self.y - self.eta * grad, self.dset, self.xi)
+        # y - eta * grad with grad = (d / rho) * feedback * u
+        g = (self.d / self.rho) * float(feedback)
+        eta = self.eta
+        self.y = _project([y - eta * (g * u) for y, u in zip(self.y, self.last_u)],
+                          *self._shrunk)
 
-    def propose(self) -> np.ndarray:
+    def propose(self) -> list[float]:
         self.t += 1
         self.last_u = _uniform_unit_vector(self.d, self.rng)
-        return self.y + self.rho * self.last_u
+        rho = self.rho
+        return [y + rho * u for y, u in zip(self.y, self.last_u)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +204,11 @@ class TwoPointBandit:
     Queries are y + rho*u and y - rho*u; the update uses
     g = (d / 2 rho) * (value difference) * u and projects back onto
     (1 - xi) * X.  With mu > 0 the step size is 1/(mu * t), otherwise the
-    fixed eta is used.
+    fixed eta is used.  y, u and the queries are lists of floats.
     """
 
     def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
-                 rng: np.random.Generator, mu: float = 0.0):
+                 rng: DrawAhead, mu: float = 0.0):
         if rho <= 0:
             raise ConfigurationError("rho must be positive")
         if not (0 <= xi < 1):
@@ -194,20 +229,22 @@ class TwoPointBandit:
         self.xi = float(xi)
         self.mu = float(mu)
         self.rng = rng
-        self.y = np.zeros(self.d)
-        self.u = np.zeros(self.d)
+        self.y = [0.0] * self.d
+        self.u = [0.0] * self.d
         self.t = 0
         self._pending = False
+        self._shrunk = ([(1.0 - self.xi) * c for c in dset._c], (1.0 - self.xi) * dset.radius)
 
-    def queries(self) -> tuple[np.ndarray, np.ndarray]:
+    def queries(self) -> tuple[list[float], list[float]]:
         """Draw a fresh unit direction and return (y + rho u, y - rho u)."""
         if self._pending:
             raise ContractViolation("queries() called twice without update()")
         self.t += 1
         self.u = _uniform_unit_vector(self.d, self.rng)
-        step = self.rho * self.u
+        rho = self.rho
+        step = [rho * u for u in self.u]
         self._pending = True
-        return self.y + step, self.y - step
+        return list(map(add, self.y, step)), list(map(sub, self.y, step))
 
     def update(self, value_difference: float):
         """Descend along (d / 2 rho) * difference * u for the stored u."""
@@ -215,8 +252,10 @@ class TwoPointBandit:
             raise ContractViolation("update() called before queries()")
         self._pending = False
         eta_t = 1.0 / (self.mu * self.t) if self.mu > 0 else self.eta
-        grad = (self.d / (2.0 * self.rho)) * float(value_difference) * self.u
-        self.y = project(self.y - eta_t * grad, self.dset, self.xi)
+        # y - eta_t * grad with grad = (d / 2 rho) * difference * u
+        g = (self.d / (2.0 * self.rho)) * float(value_difference)
+        self.y = _project([y - eta_t * (g * u) for y, u in zip(self.y, self.u)],
+                          *self._shrunk)
 
 
 # ---------------------------------------------------------------------------
@@ -256,39 +295,15 @@ def _tsallis_newton(values, eta, lmin, inv_eta2, tol, max_iter, z0=None):
 def _tsallis_unnormalized(values, z, inv_eta2):
     """Weights 4 / (eta^2 (v - z)^2) and their sum, as floats.
 
-    Bit-identical to ``w = 4.0 * inv_eta2 / (q * q)`` with ``q = lhat - z``
-    and ``w.sum()``: the same per-element operations, summed in NumPy's order.
+    The per-element operations of ``w = 4.0 * inv_eta2 / (q * q)`` with
+    ``q = lhat - z``, summed left to right.
     """
     scale = 4.0 * inv_eta2
     w = [scale / ((v - z) * (v - z)) for v in values]
-    return w, _pairwise_sum(w, 0, len(w))
-
-
-def _pairwise_sum(values, lo, n):
-    """Sum of values[lo:lo + n] in the order of float64 ``ndarray.sum``.
-
-    A port of NumPy's pairwise_sum: left to right below 8 terms; up to 128,
-    eight interleaved partial sums combined as a tree plus the remainder;
-    above, the two halves (the first a multiple of 8 long) recursively.
-    """
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += values[i]
-        return total
-    if n <= 128:
-        r = values[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+    total = 0.0
+    for x in w:
+        total += x
+    return w, total
 
 
 class TsallisInf:
@@ -300,12 +315,12 @@ class TsallisInf:
     constants may differ from the best known ones.
     """
 
-    def __init__(self, n_arms: int, rng: np.random.Generator):
+    def __init__(self, n_arms: int, rng: DrawAhead):
         if n_arms < 1:
             raise ConfigurationError("need at least one arm")
         self.k = n_arms
         self.rng = rng
-        self.lhat = np.zeros(n_arms)
+        self.lhat = [0.0] * n_arms
         self.t = 1
         self._z = None  # warm start for the weight solve
 
@@ -316,7 +331,7 @@ class TsallisInf:
         if self.k == 1:
             return [1.0]
         eta = self.eta()
-        values = self.lhat.tolist()
+        values = self.lhat
         inv_eta2 = 1.0 / (eta * eta)
         z = _tsallis_newton(values, eta, min(values), inv_eta2, 1e-12, 200, z0=self._z)
         self._z = z
@@ -332,7 +347,7 @@ class TsallisInf:
         if self.k == 1:
             return 0, 1.0
         probs = self.weights()
-        u = self.rng.random()
+        u = self.rng.uniform()
         cum = 0.0
         for arm, p in enumerate(probs):
             cum += p

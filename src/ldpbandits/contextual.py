@@ -41,7 +41,6 @@ try:
 except ImportError:  # NumPy < 2
     from numpy.core.multiarray import c_einsum
 
-from .blackbox import _norm
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .mechanisms import PrivacyParams, perturb_vector, symmetric_gaussian_matrix
 
@@ -53,6 +52,16 @@ EIG_FLOOR = 1e-8
 _SMALL_D = 8
 # Below this many arms, max and min over a Python list beat NumPy's reductions.
 _SMALL_K = 32
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector.
+
+    The formula np.linalg.norm itself uses for such a vector (a BLAS dot,
+    then sqrt), so the bits agree, without its dispatch cost on the
+    per-round paths.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def linear_sigma(privacy: PrivacyParams | None) -> float:

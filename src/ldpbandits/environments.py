@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import sub
 
 import numpy as np
 
-from .blackbox import DecisionSet, project
+from .blackbox import DecisionSet, _dot, _norm, project
 from .errors import ConfigurationError, ContractViolation
+from .mechanisms import DrawAhead
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +25,7 @@ from .errors import ConfigurationError, ContractViolation
 class StochasticMab:
     """Bernoulli losses with fixed means in [0, 1]."""
 
-    def __init__(self, means, rng: np.random.Generator):
+    def __init__(self, means, rng: DrawAhead):
         self.means = np.asarray(means, dtype=float)
         if (self.means.ndim != 1 or self.means.size == 0
                 or not np.all((0 <= self.means) & (self.means <= 1))):
@@ -31,11 +33,12 @@ class StochasticMab:
         self.k = self.means.size
         self.rng = rng
         self.best_mean = float(self.means.min())
+        self._means = self.means.tolist()
 
     def sample(self, t: int, arm: int) -> float:
         if not (0 <= arm < self.k):
             raise ContractViolation(f"arm {arm} out of range [0, {self.k})")
-        return float(self.rng.random() < self.means[arm])
+        return float(self.rng.uniform() < self._means[arm])
 
     def instant_regret(self, arm: int) -> float:
         """Expected suboptimality gap of the pulled arm."""
@@ -101,7 +104,9 @@ class AdversarialMab:
 class QuadraticOracle:
     """f_t(x) = scale * |x - x_star|^2, constant over rounds.
 
-    B, G and the strong-convexity modulus are exact on the given set.
+    B, G and the strong-convexity modulus are exact on the given set.  Values
+    follow blackbox's fixed rule: elementwise differences, then the dot
+    summed left to right.
     """
 
     def __init__(self, x_star, dset: DecisionSet, scale: float = 1.0):
@@ -112,17 +117,18 @@ class QuadraticOracle:
             raise ConfigurationError("scale must be positive")
         self.dset = dset
         self.scale = float(scale)
-        reach = dset.outer_radius + float(np.linalg.norm(self.x_star))
+        self._x_star = self.x_star.tolist()
+        reach = dset.outer_radius + _norm(self._x_star)
         self.bound = self.scale * reach**2
         self.lipschitz = 2.0 * self.scale * reach
         self.mu = 2.0 * self.scale
 
     def value(self, t: int, x) -> float:
-        x = np.asarray(x, dtype=float)
+        """f_t at x, a sequence of floats."""
         if not self.dset.contains(x, tol=1e-7):
             raise ContractViolation("query outside the decision set")
-        diff = x - self.x_star
-        return self.scale * float(diff @ diff)
+        diff = list(map(sub, x, self._x_star))
+        return self.scale * _dot(diff, diff)
 
     def optimum(self, horizon: int) -> tuple[np.ndarray, float]:
         """(argmin, minimal cumulative loss) of sum_t f_t over the set."""
@@ -146,6 +152,7 @@ class AffineQuadraticOracle:
         self.dset = dset
         self.scale = float(scale)
         self.x_star = self.base.x_star
+        self._x_star = self.base._x_star
         self.horizon = horizon
         self._drift_key = (seed, horizon, self.x_star.size, float(drift_norm))
         self.bound = self.base.bound + drift_norm * dset.outer_radius
@@ -159,18 +166,16 @@ class AffineQuadraticOracle:
         return _drift_table(*self._drift_key)
 
     def value(self, t: int, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if not self.dset.contains(x, tol=1e-7):
-            raise ContractViolation("query outside the decision set")
-        diff = x - self.x_star
-        return self.scale * float(diff @ diff) + float(self.drifts[t - 1] @ x)
+        """f_t at x, a sequence of floats: the quadratic's value plus the
+        dot a_t . x summed left to right."""
+        return self.base.value(t, x) + _dot(self.drifts[t - 1].tolist(), x)
 
     def optimum(self, horizon: int) -> tuple[np.ndarray, float]:
         a_sum = self.drifts[:horizon].sum(axis=0)
         x_opt = project(self.x_star - a_sum / (2.0 * horizon * self.scale), self.dset)
-        diff = x_opt - self.x_star
-        total = horizon * self.scale * float(diff @ diff) + float(a_sum @ x_opt)
-        return x_opt, total
+        diff = list(map(sub, x_opt, self._x_star))
+        total = horizon * self.scale * _dot(diff, diff) + _dot(a_sum.tolist(), x_opt)
+        return np.array(x_opt), total
 
 
 @lru_cache(maxsize=1)

@@ -36,7 +36,7 @@ from .environments import (
     StochasticMab,
 )
 from .errors import ConfigurationError, ContractViolation
-from .mechanisms import PrivacyParams, derive_rng
+from .mechanisms import DrawAhead, PrivacyParams, derive_rng
 from .reductions import (
     LdpBaiLearner,
     LdpMabLearner,
@@ -210,6 +210,9 @@ class SlopeFit:
 # checkpoint subtracts from the accumulated total (0 where step already
 # returns regret).  BAI's setup returns replicate(), its stop-rule loop.
 # from_dict builds with rep None, where every stream is None (_stream).
+# The context-free streams are DrawAheads (_stream).  The contextual ones are
+# plain Generators (_generator): the environment mixes uniforms and normals
+# and draws its own blocks, and the reports draw arrays per call.
 # Steps look library calls up at call time (module globals such as
 # derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
 # them for timing wrappers sees every call.
@@ -219,10 +222,15 @@ def _no_comparator(t: int) -> float:
     return 0.0
 
 
-def _stream(config: ExperimentConfig, rep: int | None, role: str):
+def _generator(config: ExperimentConfig, rep: int | None, role: str):
     # None for rep None: the build that checks a config can then draw
     # nothing, and it loads no sampler module into the calling process
     return None if rep is None else derive_rng(config.base_seed, rep, role)
+
+
+def _stream(config: ExperimentConfig, rep: int | None, role: str):
+    rng = _generator(config, rep, role)
+    return None if rng is None else DrawAhead(rng)
 
 
 def _params(config: ExperimentConfig, *allowed) -> dict:
@@ -398,7 +406,7 @@ def _bai_setup(config: ExperimentConfig, rep: int | None, record):
         pulls = 0
         while not learner.stopped and pulls < max_pulls:
             arm = learner.select()
-            reward = float(env_rng.random() < means[arm])
+            reward = float(env_rng.uniform() < means[arm])
             learner.observe(arm, reward)
             pulls += 1
         capped = not learner.stopped
@@ -438,9 +446,9 @@ def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bo
         conf = ctx.LdpConfidence(sigma, d, config.horizon, alpha,
                                  kappa=float(params.get("kappa", 1.0)))
     env = ContextualEnv(theta_star, n_arms,
-                        _stream(config, rep, "environment"), link=link)
+                        _generator(config, rep, "environment"), link=link)
     server = ctx.ServerState(d, conf)
-    report_rng = _stream(config, rep, "noise")
+    report_rng = _generator(config, rep, "noise")
 
     def step(t):
         rnd = env.step(t)

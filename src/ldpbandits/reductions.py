@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import sub
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .blackbox import LilUcb, LilUcbParams, TsallisInf, TwoPointBandit
 from .errors import ConfigurationError, ContractViolation
-from .mechanisms import PrivacyParams, calibrate_gaussian, perturb_scalar
+from .mechanisms import DrawAhead, PrivacyParams, calibrate_gaussian, perturb_scalar
 
 _BOUND_TOL = 1e-9
 
@@ -40,7 +41,7 @@ class PerturbedValue(float):
     """
 
 
-def _unit_report(raw: float, sigma: float, rng: np.random.Generator,
+def _unit_report(raw: float, sigma: float, rng: DrawAhead,
                  what: str) -> PerturbedValue:
     """A [0, 1] loss or reward recentred to [-1/2, 1/2] and perturbed."""
     if not (-_BOUND_TOL <= raw <= 1.0 + _BOUND_TOL):
@@ -124,15 +125,18 @@ class TwoPointConfig:
                               eta=eta, rho=rho, xi=xi)
 
 
-@dataclass(frozen=True)
-class OnePointRound:
+# A round's record holds its query points as arrays; the learners work on
+# lists of floats.  Named tuples: immutable, and cheaper to build per round
+# than frozen dataclasses.
+
+
+class OnePointRound(NamedTuple):
     action: np.ndarray | int
     true_loss: float
     feedback: PerturbedValue
 
 
-@dataclass(frozen=True)
-class TwoPointRound:
+class TwoPointRound(NamedTuple):
     x1: np.ndarray
     x2: np.ndarray
     true_loss_1: float
@@ -140,8 +144,8 @@ class TwoPointRound:
     feedback: PerturbedValue
 
 
-def one_point_round(learner, loss_fn: Callable[[np.ndarray], float],
-                    config: OnePointConfig, noise_rng: np.random.Generator) -> OnePointRound:
+def one_point_round(learner, loss_fn: Callable[[list[float]], float],
+                    config: OnePointConfig, noise_rng: DrawAhead) -> OnePointRound:
     """Play one round of the one-point reduction.
 
     learner must expose propose() -> action and observe(feedback).  loss_fn
@@ -157,15 +161,18 @@ def one_point_round(learner, loss_fn: Callable[[np.ndarray], float],
         )
     feedback = PerturbedValue(perturb_scalar(true_loss, config.sigma, noise_rng))
     learner.observe(feedback)
+    if isinstance(action, list):
+        action = np.array(action)
     return OnePointRound(action=action, true_loss=true_loss, feedback=feedback)
 
 
-def two_point_round(learner: TwoPointBandit, loss_fn: Callable[[np.ndarray], float],
-                    config: TwoPointConfig, noise_rng: np.random.Generator) -> TwoPointRound:
+def two_point_round(learner: TwoPointBandit, loss_fn: Callable[[list[float]], float],
+                    config: TwoPointConfig, noise_rng: DrawAhead) -> TwoPointRound:
     """Play one round of the two-point reduction.
 
     The learner receives f(x1) - f(x2) + n . (x1 - x2); the raw difference is
     checked against the 2 rho G sensitivity bound before perturbation.
+    x1 - x2 is taken elementwise and the noise dot summed left to right.
     """
     x1, x2 = learner.queries()
     f1 = float(loss_fn(x1))
@@ -176,10 +183,11 @@ def two_point_round(learner: TwoPointBandit, loss_fn: Callable[[np.ndarray], flo
             f"|f(x1) - f(x2)| = {abs(raw)} exceeds 2 rho G = "
             f"{2.0 * config.rho * config.lipschitz}; Lipschitz contract breached"
         )
-    feedback = PerturbedValue(perturb_scalar(raw, config.sigma, noise_rng,
-                                             direction=x1 - x2))
+    direction = list(map(sub, x1, x2))
+    feedback = PerturbedValue(perturb_scalar(raw, config.sigma, noise_rng, direction=direction))
     learner.update(feedback)
-    return TwoPointRound(x1=x1, x2=x2, true_loss_1=f1, true_loss_2=f2, feedback=feedback)
+    return TwoPointRound(x1=np.array(x1), x2=np.array(x2), true_loss_1=f1, true_loss_2=f2,
+                         feedback=feedback)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +206,7 @@ class LdpMabLearner:
     """
 
     def __init__(self, privacy: PrivacyParams | None, n_arms: int,
-                 learner_rng: np.random.Generator, noise_rng: np.random.Generator):
+                 learner_rng: DrawAhead, noise_rng: DrawAhead):
         self.config = OnePointConfig(privacy=privacy, loss_bound=MAB_LOSS_BOUND)
         self.sigma = self.config.sigma
         self.inner = TsallisInf(n_arms, learner_rng)
@@ -228,7 +236,7 @@ class LdpBaiLearner:
     """
 
     def __init__(self, privacy: PrivacyParams | None, n_arms: int, gamma: float,
-                 noise_rng: np.random.Generator, params: LilUcbParams | None = None):
+                 noise_rng: DrawAhead, params: LilUcbParams | None = None):
         self.config = OnePointConfig(privacy=privacy, loss_bound=MAB_LOSS_BOUND)
         self.sigma = self.config.sigma
         self.variance_proxy = 0.25 + self.sigma**2

@@ -33,6 +33,7 @@ from .harness import (
     run_replication,
 )
 from .mechanisms import (
+    DrawAhead,
     PrivacyParams,
     calibrate_gaussian,
     derive_rng,
@@ -288,16 +289,21 @@ def _eq_loss(x):
     return float((x - x_star) @ (x - x_star))
 
 
+# The wrapped runs draw their report noise a block ahead (DrawAhead); the
+# bare references draw it per call from a plain Generator, so the identities
+# also certify that the block draws are the per-call draws.
+
+
 def _one_point_pair_identical(seed: int, horizon: int) -> bool:
     config = OnePointConfig(privacy=_EQ_PRIVACY, loss_bound=2.0)
-    learner = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, derive_rng(seed, 0, "learner"))
-    noise_rng = derive_rng(seed, 0, "noise")
+    learner = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, DrawAhead(derive_rng(seed, 0, "learner")))
+    noise_rng = DrawAhead(derive_rng(seed, 0, "noise"))
     wrapped = [one_point_round(learner, _eq_loss, config, noise_rng).action
                for _ in range(horizon)]
 
     noise_rng = derive_rng(seed, 0, "noise")
     noise = [noise_rng.normal(0.0, config.sigma) for _ in range(horizon)]
-    bare = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, derive_rng(seed, 0, "learner"))
+    bare = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, DrawAhead(derive_rng(seed, 0, "learner")))
     for t in range(horizon):
         x = bare.propose()
         if not np.array_equal(x, wrapped[t]):
@@ -309,8 +315,8 @@ def _one_point_pair_identical(seed: int, horizon: int) -> bool:
 def _two_point_pair_identical(seed: int, horizon: int) -> bool:
     config = TwoPointConfig.for_horizon(_EQ_PRIVACY, 3.0, horizon, 1.0, rho=0.05, xi=0.05)
     learner = TwoPointBandit(_EQ_BALL, config.eta, config.rho, config.xi,
-                             derive_rng(seed, 1, "learner"))
-    noise_rng = derive_rng(seed, 1, "noise")
+                             DrawAhead(derive_rng(seed, 1, "learner")))
+    noise_rng = DrawAhead(derive_rng(seed, 1, "noise"))
     wrapped = []
     for _ in range(horizon):
         result = two_point_round(learner, _eq_loss, config, noise_rng)
@@ -319,12 +325,15 @@ def _two_point_pair_identical(seed: int, horizon: int) -> bool:
     noise_rng = derive_rng(seed, 1, "noise")
     noise = [noise_rng.normal(0.0, config.sigma, size=3) for _ in range(horizon)]
     bare = TwoPointBandit(_EQ_BALL, config.eta, config.rho, config.xi,
-                          derive_rng(seed, 1, "learner"))
+                          DrawAhead(derive_rng(seed, 1, "learner")))
     for t in range(horizon):
         x1, x2 = bare.queries()
         if not (np.array_equal(x1, wrapped[t][0]) and np.array_equal(x2, wrapped[t][1])):
             return False
-        bare.update(_eq_loss(x1) - _eq_loss(x2) + float(noise[t] @ (x1 - x2)))
+        noise_dot = 0.0  # n . (x1 - x2), summed left to right
+        for n, a, b in zip(noise[t].tolist(), x1, x2):
+            noise_dot += n * (a - b)
+        bare.update(_eq_loss(x1) - _eq_loss(x2) + noise_dot)
     return True
 
 
@@ -413,7 +422,7 @@ def criterion_10(n_jobs):
 @criterion(11, "mechanism statistics", 30.0)
 def criterion_11(n_jobs):
     n = 1_000_000
-    rng = derive_rng(111_879, 0, "noise")
+    rng = DrawAhead(derive_rng(111_879, 0, "noise"))
     scalars = np.fromiter(
         (perturb_scalar(0.0, 1.0, rng) for _ in range(n)), dtype=float, count=n
     )
@@ -425,13 +434,13 @@ def criterion_11(n_jobs):
     vec_ok = bool(np.all(np.abs(vec.var(axis=0) - 4.0) < 0.1))
 
     # the two-point draw n . v with n ~ N(0, sigma^2 I): variance sigma^2 |v|^2
-    v = np.array([0.3, -0.4, 1.2])
-    dir_rng = derive_rng(111_879, 4, "noise")
+    v = [0.3, -0.4, 1.2]
+    dir_rng = DrawAhead(derive_rng(111_879, 4, "noise"))
     directed = np.fromiter(
         (perturb_scalar(0.0, 1.5, dir_rng, direction=v) for _ in range(n // 4)),
         dtype=float, count=n // 4,
     )
-    dir_ok = abs(directed.var() / (1.5**2 * float(v @ v)) - 1.0) < 0.02
+    dir_ok = abs(directed.var() / (1.5**2 * float(np.dot(v, v))) - 1.0) < 0.02
 
     mat_rng = derive_rng(111_879, 2, "noise")
     entries = np.fromiter(

@@ -10,6 +10,7 @@ from ldpbandits import (
     ContextualEnv,
     ContractViolation,
     DecisionSet,
+    DrawAhead,
     QuadraticOracle,
     StochasticMab,
     derive_rng,
@@ -19,35 +20,39 @@ from ldpbandits.environments import _to_ball
 from ldpbandits.harness import _with_best_prefix
 
 
+def stream(*labels) -> DrawAhead:
+    return DrawAhead(derive_rng(*labels))
+
+
 class TestStochasticMab:
     def test_degenerate_bernoulli(self):
-        env = StochasticMab([0.0, 1.0], derive_rng(0, 0))
+        env = StochasticMab([0.0, 1.0], stream(0, 0))
         assert all(env.sample(t, 0) == 0.0 for t in range(100))
         assert all(env.sample(t, 1) == 1.0 for t in range(100))
 
     def test_empirical_mean(self):
-        env = StochasticMab([0.3, 0.9], derive_rng(1, 0))
+        env = StochasticMab([0.3, 0.9], stream(1, 0))
         pulls = np.array([env.sample(t, 0) for t in range(100_000)])
         assert pulls.mean() == pytest.approx(0.3, abs=0.01)
 
     def test_losses_in_range(self):
-        env = StochasticMab([0.2, 0.7, 0.5], derive_rng(2, 0))
+        env = StochasticMab([0.2, 0.7, 0.5], stream(2, 0))
         for t in range(5000):
             loss = env.sample(t, t % 3)
             assert 0.0 <= loss <= 1.0
 
     def test_best_arm_and_gaps(self):
-        env = StochasticMab([0.5, 0.3, 0.9], derive_rng(0, 0))
+        env = StochasticMab([0.5, 0.3, 0.9], stream(0, 0))
         assert np.allclose([env.instant_regret(arm) for arm in range(3)], [0.2, 0.0, 0.6])
 
     def test_arm_out_of_range(self):
-        env = StochasticMab([0.5], derive_rng(0, 0))
+        env = StochasticMab([0.5], stream(0, 0))
         with pytest.raises(ContractViolation):
             env.sample(1, 3)
 
     def test_invalid_means(self):
         with pytest.raises(ConfigurationError):
-            StochasticMab([0.5, 1.2], derive_rng(0, 0))
+            StochasticMab([0.5, 1.2], stream(0, 0))
 
 
 class TestAdversarialMab:

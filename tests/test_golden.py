@@ -15,15 +15,25 @@ rows, criterion 8's containment flags) at short horizons.
 A digest changes only when the emitted numbers change.  Such a change must
 be explained where it is made, and the digest recomputed with
 `python -m tests.test_golden` from the repository root.
+
+The context-free digests (BCO, MAB, BAI and the affine oracle) must not
+depend on the host's CPU either: they are recomputed in subprocesses that
+force other BLAS kernels, NumPy SIMD loops and libm variants, and must come
+out the same.
 """
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ldpbandits import ExperimentConfig, emit, run_bai, run_experiment
+from ldpbandits import ExperimentConfig, emit, mechanisms, run_bai, run_experiment
 from ldpbandits.environments import BLOCK_ROUNDS
 from ldpbandits.harness import run_replication, trajectory_csv
 from ldpbandits.suites import INSTANCES
@@ -42,13 +52,13 @@ GOLDEN = {
     "configs/mab_switching.json":
         "a821a1c95d48067d0990091ed99c802db7341f7bc05c5fec4e48bee1fc32dd1d",
     "configs/two_point_convex.json":
-        "5705dc3df988980919e6f869639793f51b3d3064d5621ca951c780918b499aea",
+        "f8cec45501a9bcc247f2f9953325624f76aa78f0f2c4472b3beb4934834cc066",
     "criterion_1_two_point":
-        "5705dc3df988980919e6f869639793f51b3d3064d5621ca951c780918b499aea",
+        "f8cec45501a9bcc247f2f9953325624f76aa78f0f2c4472b3beb4934834cc066",
     "criterion_2_two_point":
-        "5e568448c66b58ef1ba2b19e0f41712cc7c1171b23b2b27600b7be7dd7d43fba",
+        "42261e3825463756750a4614db83a18636429f4758b54b2201bb561d2ce7cd19",
     "criterion_3_one_point":
-        "db8b002074ca97b79c18b30ae3fb2e7cf716b74198280ef4c2ca4bef1dc6fb6c",
+        "7b766789a8aa081f7c8da7bcd2c44a29e3489f33db521fa21a8cd2d4b71a5e10",
     "criterion_4_mab_stochastic":
         "976adc439adade90338c5a128aaa7039b84c84a8918ecf3891a57d5ddca0fbc9",
     "criterion_4_mab_switching":
@@ -114,11 +124,112 @@ AFFINE_DOC = {
     "environment": {"kind": "affine_quadratic", "dim": 3, "drift_norm": 0.1},
     "privacy": {"epsilon": 1.0, "delta": 1e-2},
 }
-AFFINE_GOLDEN = "fdf27eff68929ed69bc42dc1dd3ac26cc28e9dac30a719fee08b8aedbcb03941"
+AFFINE_GOLDEN = "3d57d1cf9b89bff060e882adeda39714a0af1e191898e6b126d02568ed36c34f"
 
 
 def test_affine_digest(tmp_path):
     assert emitted_digest(AFFINE_DOC, tmp_path) == AFFINE_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# the context-free digests under other CPU code paths
+#
+# The BCO rounds compute by a fixed-order rule in Python floats and every
+# context-free stream is a plain Generator draw, so these bytes must not move
+# with the host's instruction set.  The contextual digests are left out: their
+# dots, norms and small solves still go through BLAS, LAPACK and NumPy's SIMD
+# transcendentals until their half of the fixed-order rule lands (ROADMAP item
+# 1).  lil'UCB's widths use np.log, a latent host dependence that no forced
+# variant below moves today.
+
+HOST_INDEPENDENT = sorted(
+    name for name in GOLDEN if not _doc(name)["algorithm"].startswith("contextual_"))
+
+
+def host_independent_digests() -> dict:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {name: emitted_digest(_doc(name), Path(tmp)) for name in HOST_INDEPENDENT}
+        out["affine"] = emitted_digest(AFFINE_DOC, Path(tmp))
+    return out
+
+
+def _openblas_dynamic_arch() -> str | None:
+    """None when OPENBLAS_CORETYPE can switch NumPy's BLAS kernel, else why not."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"NumPy's BLAS is {blas.get('name')!r}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "OpenBLAS was built without DYNAMIC_ARCH, so its kernel is fixed"
+    return None
+
+
+def _numpy_avx512() -> str | None:
+    """None when disabling the AVX-512 features moves NumPy's loops, else why not."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not any(__cpu_features__.get(f) for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")):
+        return "this CPU has no AVX-512 feature NumPy dispatches to"
+    return None
+
+
+def _glibc_avx2() -> str | None:
+    """None when the glibc tunable moves libm off its AVX2/FMA variants."""
+    if platform.system() != "Linux" or platform.machine() != "x86_64":
+        return f"glibc hwcaps tunables apply to x86-64 Linux, not {platform.machine()}"
+    if platform.libc_ver()[0] != "glibc":
+        return "the C library is not glibc"
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return "the CPU's flags cannot be read"
+    if "avx2" not in flags and "fma" not in flags:
+        return "this CPU has neither AVX2 nor FMA"
+    return None
+
+
+FORCED_VARIANTS = {
+    "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, _openblas_dynamic_arch),
+    "numpy_avx2": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                   _numpy_avx512),
+    "glibc_no_avx2": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}, _glibc_avx2),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FORCED_VARIANTS))
+def test_context_free_digests_under_forced_cpu_variant(variant):
+    extra, applies = FORCED_VARIANTS[variant]
+    why_not = applies()
+    if why_not is not None:
+        pytest.skip(f"{', '.join(extra)} cannot take effect: {why_not}")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from tests.test_golden import host_independent_digests; "
+         "print(json.dumps(host_independent_digests()))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {name: GOLDEN[name] for name in HOST_INDEPENDENT}
+    expected["affine"] = AFFINE_GOLDEN
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+
+# The block a DrawAhead stream draws ahead changes no bit: the BCO, MAB and
+# BAI digests at block sizes 1 and 7 are the golden ones.
+BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
+                 "criterion_4_mab_stochastic", "criterion_4_mab_switching",
+                 "criterion_5_bai_ldp"]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
+    for name in BLOCK_CHECKED:
+        assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name], name
 
 
 # Criterion 6 (private and non-private) and criterion 7 at a horizon that

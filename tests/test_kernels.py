@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ldpbandits import (
     ContextualEnv,
     ContractViolation,
+    DrawAhead,
     LilUcb,
     LilUcbParams,
     NumericalError,
@@ -22,13 +23,15 @@ from ldpbandits import (
     derive_rng,
     symmetric_gaussian_matrix,
 )
-from ldpbandits.blackbox import _norm, _tsallis_newton, _tsallis_unnormalized
+from ldpbandits import blackbox
+from ldpbandits.blackbox import _tsallis_newton, _tsallis_unnormalized
 from ldpbandits.contextual import (
     EIG_FLOOR,
     BaselineConfidence,
     LdpConfidence,
     LocalReport,
     ServerState,
+    _norm,
     _optimistic_argmax,
     _solve,
     glm_local_report,
@@ -44,8 +47,15 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+def left_to_right_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 # ---------------------------------------------------------------------------
-# the 1-d norm
+# the 1-d norms: contextual's in BLAS order, blackbox's by the fixed rule
 
 
 @SETTINGS
@@ -53,6 +63,15 @@ def bits(x) -> bytes:
 def test_norm_matches_linalg_norm(d, seed, scale):
     v = np.random.default_rng(seed).standard_normal(d) * scale
     assert bits(_norm(v)) == bits(np.linalg.norm(v))
+
+
+@SETTINGS
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(1e-6, 1e6))
+def test_fixed_rule_norm_and_dot_sum_left_to_right(d, seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(d) * scale for _ in range(2))
+    assert bits(blackbox._norm(a.tolist())) == bits(math.sqrt(left_to_right_sum(a * a)))
+    assert bits(blackbox._dot(a.tolist(), b.tolist())) == bits(left_to_right_sum(a * b))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +160,7 @@ def test_lil_ucb_matches_numpy_reference(n_arms, seed, gamma, noise, lam):
 def reference_weights(lhat: np.ndarray, z: float, inv_eta2: float) -> np.ndarray:
     q = lhat - z
     w = 4.0 * inv_eta2 / (q * q)
-    return w / w.sum()
+    return w / left_to_right_sum(w)
 
 
 def reference_draw(w: np.ndarray, u: float) -> tuple[int, float]:
@@ -150,12 +169,12 @@ def reference_draw(w: np.ndarray, u: float) -> tuple[int, float]:
 
 
 class FixedDraw:
-    """A stand-in for the learner's generator that returns a chosen u."""
+    """A stand-in for the learner's stream that returns a chosen u."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self):
+    def uniform(self):
         return self.u
 
 
@@ -174,7 +193,8 @@ def test_tsallis_weights_match_numpy_expression(k, seed):
     z = _tsallis_newton(lhat.tolist(), eta, lhat.min(), inv_eta2, 1e-12, 200)
     w, total = _tsallis_unnormalized(lhat.tolist(), z, inv_eta2)
     q = lhat - z
-    assert bits(total) == bits((4.0 * inv_eta2 / (q * q)).sum())
+    # below 8 terms NumPy's sum is this left-to-right loop too
+    assert bits(total) == bits(left_to_right_sum(4.0 * inv_eta2 / (q * q)))
     assert bits([x / total for x in w]) == bits(reference_weights(lhat, z, inv_eta2))
 
 
@@ -186,7 +206,7 @@ def test_tsallis_weights_match_numpy_expression(k, seed):
 def test_tsallis_sample_matches_numpy_draw(k, seed, u):
     lhat, t = random_state(k, seed)
     learner = TsallisInf(k, FixedDraw(u))
-    learner.lhat[:] = lhat
+    learner.lhat[:] = lhat.tolist()
     learner.t = t
     if k == 1:
         assert learner.sample() == (0, 1.0)
@@ -206,7 +226,7 @@ def test_tsallis_sample_matches_numpy_draw(k, seed, u):
 
 def test_single_arm_sample_draws_nothing():
     rng = np.random.default_rng(5)
-    learner = TsallisInf(1, rng)
+    learner = TsallisInf(1, DrawAhead(rng))
     before = rng.bit_generator.state
     assert learner.sample() == (0, 1.0)
     assert rng.bit_generator.state == before

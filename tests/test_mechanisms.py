@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from ldpbandits import (
     CalibrationError,
+    ContractViolation,
+    DrawAhead,
     LdpBaiLearner,
     LdpMabLearner,
     OnePointConfig,
@@ -30,8 +32,14 @@ from ldpbandits import (
     symmetric_gaussian_matrix,
     two_point_round,
 )
+from ldpbandits import mechanisms
+from ldpbandits.blackbox import _uniform_unit_vector
 
 mpmath.mp.dps = 50
+
+
+def stream(*labels) -> DrawAhead:
+    return DrawAhead(derive_rng(*labels))
 
 
 def gaussian_sigma_oracle(epsilon, delta, sensitivity):
@@ -137,21 +145,21 @@ class TestExactGaussianProfile:
 
 class TestPerturbScalar:
     def test_zero_noise_identity(self):
-        rng = derive_rng(0, 0)
-        state = rng.bit_generator.state
+        rng = stream(0, 0)
+        state = rng.rng.bit_generator.state
         assert perturb_scalar(0.5, 0.0, rng) == 0.5
         assert perturb_scalar(0.5, 0.0, rng, direction=np.ones(3)) == 0.5
-        assert rng.bit_generator.state == state
+        assert rng.rng.bit_generator.state == state
 
     def test_deterministic_given_seed(self):
-        a = perturb_scalar(0.5, 9.6896, derive_rng(7, 3, "noise"))
-        b = perturb_scalar(0.5, 9.6896, derive_rng(7, 3, "noise"))
+        a = perturb_scalar(0.5, 9.6896, stream(7, 3, "noise"))
+        b = perturb_scalar(0.5, 9.6896, stream(7, 3, "noise"))
         assert a == b
         assert a != 0.5
 
     def test_two_moment_check(self):
         # |mean| < 4 sigma/sqrt(n) and |var/sigma^2 - 1| < 0.05 at n = 1e5
-        rng = derive_rng(11, 0, "noise")
+        rng = stream(11, 0, "noise")
         n = 100_000
         samples = np.fromiter(
             (perturb_scalar(0.0, 1.0, rng) for _ in range(n)), dtype=float, count=n
@@ -161,19 +169,22 @@ class TestPerturbScalar:
 
     def test_direction_draws_one_vector(self):
         # value + n . direction with n ~ N(0, sigma^2 I): one draw of
-        # direction's shape, so the added scalar is N(0, sigma^2 |direction|^2)
-        direction = np.array([0.3, -0.4, 1.2])
-        ours, ref = derive_rng(19, 0, "noise"), derive_rng(19, 0, "noise")
+        # direction's shape, so the added scalar is N(0, sigma^2 |direction|^2);
+        # the dot is summed left to right
+        direction = [0.3, -0.4, 1.2]
+        ours, ref = stream(19, 0, "noise"), derive_rng(19, 0, "noise")
         for _ in range(5):
             got = perturb_scalar(0.25, 2.0, ours, direction=direction)
-            assert got == 0.25 + float(ref.normal(0.0, 2.0, size=3) @ direction)
-        assert ours.bit_generator.state == ref.bit_generator.state
+            dot = 0.0
+            for n, v in zip(ref.normal(0.0, 2.0, size=3).tolist(), direction):
+                dot += n * v
+            assert got == 0.25 + dot
         n = 50_000
         samples = np.fromiter(
             (perturb_scalar(0.0, 2.0, ours, direction=direction) for _ in range(n)),
             dtype=float, count=n,
         )
-        assert samples.var() == pytest.approx(4.0 * float(direction @ direction), rel=0.05)
+        assert samples.var() == pytest.approx(4.0 * float(np.dot(direction, direction)), rel=0.05)
 
 
 class TestPerturbVector:
@@ -235,6 +246,76 @@ class TestStreams:
 
 
 # ---------------------------------------------------------------------------
+# DrawAhead: block draws are the per-call draws
+
+
+@pytest.fixture(params=[1, 7, mechanisms.DRAW_AHEAD], ids=lambda b: f"block{b}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(mechanisms, "DRAW_AHEAD", request.param)
+    return request.param
+
+
+class TestDrawAhead:
+    def test_uniforms_match_per_call_random(self, block):
+        ours, ref = stream(3, 0, "environment"), derive_rng(3, 0, "environment")
+        for _ in range(3 * mechanisms.DRAW_AHEAD + 5):  # across several block edges
+            assert ours.uniform() == ref.random()
+
+    def test_scalar_noise_matches_per_call_normal(self, block):
+        ours, ref = stream(4, 0, "noise"), derive_rng(4, 0, "noise")
+        for _ in range(3 * mechanisms.DRAW_AHEAD + 5):
+            assert perturb_scalar(0.0, 2.5, ours) == ref.normal(0.0, 2.5)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 300])
+    def test_vectors_match_per_call_normal_size_d(self, block, d):
+        # d = 5 against a block of 7 straddles an edge on the second draw;
+        # d = 300 spans whole blocks of any size here
+        ours, ref = stream(5, d, "noise"), derive_rng(5, d, "noise")
+        direction = [1.0] + [0.0] * (d - 1)
+        for _ in range(4):
+            # with direction e_1 the report adds the first of d draws, scaled
+            assert perturb_scalar(0.0, 1.5, ours, direction=direction) == (
+                ref.normal(0.0, 1.5, size=d)[0] * 1.0)
+            assert ours.normals(d) == ref.standard_normal(d).tolist()
+
+    def test_mixed_sizes_keep_the_stream_order(self, block):
+        ours, ref = stream(6, 0, "noise"), derive_rng(6, 0, "noise")
+        for n in (1, 5, 2, 7, 1, 11, 3):
+            got = [ours.normal()] if n == 1 else ours.normals(n)
+            assert got == ref.standard_normal(n).tolist()
+
+    def test_unit_vector_redraws_a_null_direction(self):
+        class Scripted:
+            """A generator whose normals are a null 3-vector, then (3, 4, 0)."""
+
+            def standard_normal(self, n):
+                return np.array([0.0, 1e-13, 0.0, 3.0, 4.0, 0.0] + [1.0] * (n - 6))
+
+        u = _uniform_unit_vector(3, DrawAhead(Scripted()))
+        assert u == [3.0 / 5.0, 4.0 / 5.0, 0.0]
+
+    @pytest.mark.parametrize("first, second", [
+        ("uniform", "normal"), ("uniform", "normals"),
+        ("normal", "uniform"), ("normals", "uniform"),
+    ])
+    def test_one_kind_per_stream(self, block, first, second):
+        draws = {"uniform": lambda s: s.uniform(), "normal": lambda s: s.normal(),
+                 "normals": lambda s: s.normals(3)}
+        s = stream(8, 0)
+        draws[first](s)
+        with pytest.raises(ContractViolation):
+            draws[second](s)
+
+    def test_draws_nothing_before_the_first_request(self):
+        rng = derive_rng(9, 0)
+        state = rng.bit_generator.state
+        s = DrawAhead(rng)
+        assert rng.bit_generator.state == state
+        s.uniform()
+        assert rng.bit_generator.state != state
+
+
+# ---------------------------------------------------------------------------
 # every local report draws its noise through the sampler family
 
 
@@ -266,43 +347,45 @@ class FedRecorder:
 # Each path runs one report on rng and returns what reached the learner or
 # server, the clean values, and a function that rebuilds the report from the
 # clean values and the family's draws on a twin stream, in the report's order.
+# The scalar reports take rng through a DrawAhead, the contextual ones as is.
 
 
 def one_point_path(privacy, rng):
     config = OnePointConfig(privacy=privacy, loss_bound=2.0)
     learner = FedRecorder(np.array([0.3, -0.2]))
-    rnd = one_point_round(learner, lambda x: float(x @ x), config, rng)
+    rnd = one_point_round(learner, lambda x: float(x @ x), config, DrawAhead(rng))
     clean = (rnd.true_loss,)
-    return learner.fed, clean, lambda twin: (perturb_scalar(clean[0], config.sigma, twin),)
+    return learner.fed, clean, lambda twin: (
+        perturb_scalar(clean[0], config.sigma, DrawAhead(twin)),)
 
 
 def two_point_path(privacy, rng):
     config = TwoPointConfig.for_horizon(privacy, 3.0, 100, 1.0, rho=0.05, xi=0.05)
     x1, x2 = np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.3])
     learner = FedRecorder(x1, x2)
-    rnd = two_point_round(learner, lambda x: float(x.sum()), config, rng)
+    rnd = two_point_round(learner, lambda x: float(x.sum()), config, DrawAhead(rng))
     clean = (rnd.true_loss_1 - rnd.true_loss_2,)
     return learner.fed, clean, lambda twin: (
-        perturb_scalar(clean[0], config.sigma, twin, direction=x1 - x2),)
+        perturb_scalar(clean[0], config.sigma, DrawAhead(twin), direction=(x1 - x2).tolist()),)
 
 
 def mab_path(privacy, rng):
-    learner = LdpMabLearner(privacy, 3, derive_rng(31, 0, "learner"), rng)
+    learner = LdpMabLearner(privacy, 3, stream(31, 0, "learner"), DrawAhead(rng))
     learner.inner = FedRecorder()
     learner.propose()
     learner.observe(0.8)
     clean = (0.8 - 0.5,)
     return learner.inner.fed, clean, lambda twin: (
-        perturb_scalar(clean[0], learner.sigma, twin),)
+        perturb_scalar(clean[0], learner.sigma, DrawAhead(twin)),)
 
 
 def bai_path(privacy, rng):
-    learner = LdpBaiLearner(privacy, 3, 0.1, rng)
+    learner = LdpBaiLearner(privacy, 3, 0.1, DrawAhead(rng))
     learner.inner = FedRecorder()
     learner.observe(2, 0.9)
     clean = (0.9 - 0.5,)
     return learner.inner.fed, clean, lambda twin: (
-        perturb_scalar(clean[0], learner.sigma, twin),)
+        perturb_scalar(clean[0], learner.sigma, DrawAhead(twin)),)
 
 
 X = np.array([0.3, -0.5, 0.4])

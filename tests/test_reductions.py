@@ -30,10 +30,15 @@ from ldpbandits import (
     two_point_round,
     two_point_sigma,
 )
+from ldpbandits.mechanisms import DrawAhead
 
 mpmath.mp.dps = 50
 PRIVACY = PrivacyParams(1.0, 1e-5)
 BALL_3D = DecisionSet.ball(1.0, dim=3)
+
+
+def stream(*labels) -> DrawAhead:
+    return DrawAhead(derive_rng(*labels))
 
 
 def quad_loss(x):
@@ -77,8 +82,8 @@ class TestSigmas:
 
 def run_wrapped_one_point(seed, horizon, privacy):
     config = OnePointConfig(privacy=privacy, loss_bound=2.0)
-    learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, derive_rng(seed, 0, "learner"))
-    noise_rng = derive_rng(seed, 0, "noise")
+    learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(seed, 0, "learner"))
+    noise_rng = stream(seed, 0, "noise")
     trajectory = []
     for t in range(1, horizon + 1):
         result = one_point_round(learner, quad_loss, config, noise_rng)
@@ -87,7 +92,7 @@ def run_wrapped_one_point(seed, horizon, privacy):
 
 
 def run_bare_one_point_on_pseudo_losses(seed, horizon, noise_values):
-    learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, derive_rng(seed, 0, "learner"))
+    learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(seed, 0, "learner"))
     trajectory = []
     for t in range(1, horizon + 1):
         x = learner.propose()
@@ -116,8 +121,8 @@ class TestOnePointEquivalence:
 
     def test_feedback_minus_true_loss_moments(self):
         config = OnePointConfig(privacy=PRIVACY, loss_bound=2.0)
-        learner = FkmBandit(BALL_3D, 0.001, 0.05, 0.05, derive_rng(3, 0, "learner"))
-        noise_rng = derive_rng(3, 0, "noise")
+        learner = FkmBandit(BALL_3D, 0.001, 0.05, 0.05, stream(3, 0, "learner"))
+        noise_rng = stream(3, 0, "noise")
         diffs = []
         for _ in range(100_000):
             result = one_point_round(learner, quad_loss, config, noise_rng)
@@ -130,14 +135,14 @@ class TestOnePointEquivalence:
     def test_sensitivity_guard(self):
         # any first query has loss >= (0.3 - 0.05)^2 = 0.0625 > 0.01
         config = OnePointConfig(privacy=PRIVACY, loss_bound=0.01)
-        learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, derive_rng(0, 0, "learner"))
+        learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(0, 0, "learner"))
         with pytest.raises(ContractViolation):
-            one_point_round(learner, quad_loss, config, derive_rng(0, 0, "noise"))
+            one_point_round(learner, quad_loss, config, stream(0, 0, "noise"))
 
     def test_feedback_is_tainted(self):
         config = OnePointConfig(privacy=None, loss_bound=2.0)
-        learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, derive_rng(1, 0, "learner"))
-        result = one_point_round(learner, quad_loss, config, derive_rng(1, 0, "noise"))
+        learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(1, 0, "learner"))
+        result = one_point_round(learner, quad_loss, config, stream(1, 0, "noise"))
         assert isinstance(result.feedback, PerturbedValue)
         assert not isinstance(result.true_loss, PerturbedValue)
 
@@ -145,7 +150,7 @@ class TestOnePointEquivalence:
 def make_two_point(seed, privacy, horizon=300):
     config = TwoPointConfig.for_horizon(privacy, 3.0, horizon, 1.0, rho=0.05, xi=0.05)
     learner = TwoPointBandit(BALL_3D, config.eta, config.rho, config.xi,
-                             derive_rng(seed, 1, "learner"))
+                             stream(seed, 1, "learner"))
     return config, learner
 
 
@@ -154,7 +159,7 @@ class TestTwoPointEquivalence:
     def test_wrapped_equals_pseudo_loss_run(self, seed):
         horizon = 200
         config, learner = make_two_point(seed, PRIVACY, horizon)
-        noise_rng = derive_rng(seed, 1, "noise")
+        noise_rng = stream(seed, 1, "noise")
         wrapped = []
         for t in range(1, horizon + 1):
             result = two_point_round(learner, quad_loss, config, noise_rng)
@@ -163,7 +168,8 @@ class TestTwoPointEquivalence:
 
         # bare run on pseudo-losses f(x) + n_t . x, sharing the learner stream;
         # the difference hook evaluates the same floating-point expression the
-        # wrap produces, which is the pseudo-loss difference exactly.
+        # wrap produces (n_t . (x1 - x2) summed left to right), which is the
+        # pseudo-loss difference exactly.
         noise_rng = derive_rng(seed, 1, "noise")
         noise = [noise_rng.normal(0.0, config.sigma, size=3) for _ in range(horizon)]
         _, bare = make_two_point(seed, PRIVACY, horizon)
@@ -171,7 +177,10 @@ class TestTwoPointEquivalence:
         for t in range(1, horizon + 1):
             x1, x2 = bare.queries()
             trajectory.append(np.concatenate([x1, x2]))
-            diff = quad_loss(x1) - quad_loss(x2) + float(noise[t - 1] @ (x1 - x2))
+            noise_dot = 0.0
+            for n, a, b in zip(noise[t - 1].tolist(), x1, x2):
+                noise_dot += n * (a - b)
+            diff = quad_loss(x1) - quad_loss(x2) + noise_dot
             pseudo_direct = (quad_loss(x1) + float(noise[t - 1] @ x1)) - (
                 quad_loss(x2) + float(noise[t - 1] @ x2)
             )
@@ -183,7 +192,7 @@ class TestTwoPointEquivalence:
     def test_zero_noise_is_bare_trajectory(self, seed):
         horizon = 200
         config, learner = make_two_point(seed, None, horizon)
-        noise_rng = derive_rng(seed, 1, "noise")
+        noise_rng = stream(seed, 1, "noise")
         wrapped = []
         for t in range(1, horizon + 1):
             result = two_point_round(learner, quad_loss, config, noise_rng)
@@ -198,7 +207,7 @@ class TestTwoPointEquivalence:
     def test_perturbation_variance(self):
         # n . (x1 - x2) has variance 4 rho^2 sigma^2
         config, learner = make_two_point(0, PRIVACY, 200_000)
-        noise_rng = derive_rng(0, 1, "noise")
+        noise_rng = stream(0, 1, "noise")
         vals = []
         for _ in range(100_000):
             result = two_point_round(learner, quad_loss, config, noise_rng)
@@ -210,30 +219,30 @@ class TestTwoPointEquivalence:
     def test_lipschitz_guard(self):
         config = TwoPointConfig.for_horizon(PRIVACY, 0.01, 100, 1.0, rho=0.05, xi=0.05)
         learner = TwoPointBandit(BALL_3D, config.eta, config.rho, config.xi,
-                                 derive_rng(0, 1, "learner"))
+                                 stream(0, 1, "learner"))
         with pytest.raises(ContractViolation):
-            two_point_round(learner, quad_loss, config, derive_rng(0, 1, "noise"))
+            two_point_round(learner, quad_loss, config, stream(0, 1, "noise"))
 
 
 class TestWrapMab:
     def test_recentring(self):
-        learner = LdpMabLearner(None, 2, derive_rng(0, 0, "learner"),
-                                derive_rng(0, 0, "noise"))
+        learner = LdpMabLearner(None, 2, stream(0, 0, "learner"),
+                                stream(0, 0, "noise"))
         arm = learner.propose()
         learner.observe(1.0)
         assert learner.inner.lhat[arm] == pytest.approx(0.5 / 0.5)  # 0.5 / p with p=0.5
-        learner2 = LdpMabLearner(None, 2, derive_rng(0, 0, "learner"),
-                                 derive_rng(0, 0, "noise"))
+        learner2 = LdpMabLearner(None, 2, stream(0, 0, "learner"),
+                                 stream(0, 0, "noise"))
         arm2 = learner2.propose()
         learner2.observe(0.0)
         assert learner2.inner.lhat[arm2] == pytest.approx(-0.5 / 0.5)
 
     def test_sigma_value(self):
-        learner = LdpMabLearner(PRIVACY, 3, derive_rng(0, 0), derive_rng(0, 1))
+        learner = LdpMabLearner(PRIVACY, 3, stream(0, 0), stream(0, 1))
         assert learner.sigma == pytest.approx(4.8448, abs=1e-4)
 
     def test_loss_range_contract(self):
-        learner = LdpMabLearner(None, 2, derive_rng(0, 0), derive_rng(0, 1))
+        learner = LdpMabLearner(None, 2, stream(0, 0), stream(0, 1))
         learner.propose()
         with pytest.raises(ContractViolation):
             learner.observe(1.5)
@@ -242,15 +251,15 @@ class TestWrapMab:
         horizon = 500
         rng_env = derive_rng(5, 0, "environment")
         losses = rng_env.random(horizon)
-        wrapped = LdpMabLearner(None, 3, derive_rng(5, 0, "learner"), derive_rng(5, 0, "noise"))
-        bare = TsallisInf(3, derive_rng(5, 0, "learner"))
+        wrapped = LdpMabLearner(None, 3, stream(5, 0, "learner"), stream(5, 0, "noise"))
+        bare = TsallisInf(3, stream(5, 0, "learner"))
         for t in range(horizon):
             arm_w = wrapped.propose()
             arm_b, prob_b = bare.sample()
             assert arm_w == arm_b
             wrapped.observe(losses[t])
             bare.update(arm_b, losses[t] - 0.5, prob_b)
-        assert np.array_equal(wrapped.inner.lhat, bare.lhat)
+        assert wrapped.inner.lhat == bare.lhat
 
     def test_huge_epsilon_tracks_nonprivate_regret(self):
         # eps so large the noise is negligible: paired mean regret within 5%
@@ -263,8 +272,8 @@ class TestWrapMab:
             env_rng = derive_rng(40 + rep, 0, "environment")
             draws = env_rng.random((horizon, 2))
             for label, privacy in (("private", weak), ("bare", None)):
-                learner = LdpMabLearner(privacy, 2, derive_rng(40 + rep, 0, "learner"),
-                                        derive_rng(40 + rep, 0, "noise"))
+                learner = LdpMabLearner(privacy, 2, stream(40 + rep, 0, "learner"),
+                                        stream(40 + rep, 0, "noise"))
                 regret = 0.0
                 for t in range(horizon):
                     arm = learner.propose()
@@ -276,17 +285,17 @@ class TestWrapMab:
 
 class TestWrapBai:
     def test_zero_noise_proxy(self):
-        learner = LdpBaiLearner(None, 3, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(None, 3, 0.1, stream(0, 0, "noise"))
         assert learner.variance_proxy == 0.25
 
     def test_inflated_proxy_example(self):
-        learner = LdpBaiLearner(PRIVACY, 3, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(PRIVACY, 3, 0.1, stream(0, 0, "noise"))
         sigma_sq = one_point_sigma(PRIVACY, 0.5) ** 2
         assert learner.variance_proxy == pytest.approx(0.25 + sigma_sq, rel=1e-12)
         assert learner.variance_proxy == pytest.approx(23.72, abs=0.01)
 
     def test_reward_contract(self):
-        learner = LdpBaiLearner(None, 2, 0.1, derive_rng(0, 0, "noise"))
+        learner = LdpBaiLearner(None, 2, 0.1, stream(0, 0, "noise"))
         with pytest.raises(ContractViolation):
             learner.observe(0, -0.5)
 
