@@ -195,25 +195,17 @@ def _drift_table(seed: int, horizon: int, dim: int, drift_norm: float) -> np.nda
 # contextual worlds
 
 
-# Rounds a ContextualEnv draws ahead: about 100 KB of arm sets, uniforms and
-# scores at K = 10, d = 3.
+# Rounds a ContextualEnv draws ahead.  At K = 10, d = 3 a block keeps about
+# 170 KB (60 KB of arm sets, the rest its scores as Python floats), and
+# placing it peaks at about 430 KB (tracemalloc) while its normals are live.
 BLOCK_ROUNDS = 256
-
-
-def _to_ball(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Shape n x d standard normals g, in place, into n points uniform in the
-    d-dimensional unit ball (normalized Gaussian directions with the radial
-    correction U^(1/d), U the n uniforms u)."""
-    g /= np.sqrt((g * g).sum(axis=1))[:, None]  # np.linalg.norm(g, axis=1)'s formula
-    g *= (u ** (1.0 / g.shape[1]))[:, None]
-    return g
 
 
 @dataclass(slots=True)
 class ContextualRound:
     arms: np.ndarray
-    best_arm: int
-    best_value: float
+    scores: list[float]  # x . theta_star of each arm
+    best_score: float  # their max
 
 
 class ContextualEnv:
@@ -224,14 +216,21 @@ class ContextualEnv:
     success probability g(x . theta_star), i.e. the noise is 1 - g(a) with
     probability g(a) and -g(a) otherwise.
 
-    A round draws k x d normals and k uniforms for its arm set, then one
-    uniform for its reward.  No draw depends on the learner, so the rounds
-    are drawn BLOCK_ROUNDS ahead in that order: step only indexes the block,
-    and reward uses the uniform of the round that step opened.
+    Arms and rewards come from two streams.  An arm takes d + 2 standard
+    normals from rng, in round and arm order, and is the first d of them over
+    the norm of all d + 2: a point uniform in the d-ball (Voelker, Gosmann and
+    Stewart 2017).  A reward takes the next uniform of rewards.  No arm draw
+    depends on the learner, so step places BLOCK_ROUNDS arm sets at once, and
+    the block size changes no bit.  Norms and scores x . theta_star are
+    summed column by column, left to right, and the best score is a row max,
+    so every arm and score comes from correctly rounded elementwise steps and
+    does not depend on the host's SIMD loops or BLAS kernel.  A round's scores
+    are computed once; reward and instant_regret read them, and only there
+    does a GLM apply its link.
     """
 
     def __init__(self, theta_star, n_arms: int, rng: np.random.Generator,
-                 link=None):
+                 rewards: DrawAhead, link=None):
         self.theta_star = np.asarray(theta_star, dtype=float)
         if np.linalg.norm(self.theta_star) > 1.0 + 1e-12:
             raise ConfigurationError("theta_star must lie in the unit ball")
@@ -240,56 +239,53 @@ class ContextualEnv:
         self.k = n_arms
         self.d = self.theta_star.size
         self.rng = rng
+        self.rewards = rewards
         self.link = link
-        # the current block, drawn at the first step; _open is the reward
-        # uniform of the round the last step opened, None once it is used
-        self._reward_draws: list[float] = []
+        # the current block, drawn at the first step; _open is the scores of
+        # the round the last step opened, None once its reward is drawn
+        self._scores: list[list[float]] = []
         self._next = 0
         self._open = None
 
     def _mean_value(self, a: float) -> float:
-        return float(self.link.g(a)) if self.link is not None else float(a)
+        return self.link.g(a) if self.link is not None else a
 
     def _draw_block(self):
-        # fresh arrays for every block: a caller may keep a round's arms
-        normal, uniform = self.rng.standard_normal, self.rng.random
-        arms = np.empty((BLOCK_ROUNDS, self.k, self.d))
-        radial = np.empty((BLOCK_ROUNDS, self.k))
-        draws = []
-        for g, u in zip(arms, radial):
-            normal(out=g)
-            uniform(out=u)
-            draws.append(uniform())
-        _to_ball(arms.reshape(-1, self.d), radial.reshape(-1))
-        scores = arms @ self.theta_star
-        best = scores.argmax(axis=1)
+        d, theta = self.d, self.theta_star.tolist()
+        g = self.rng.standard_normal((BLOCK_ROUNDS, self.k, d + 2))
+        square = g * g
+        norm_squared = square[..., 0]
+        for j in range(1, d + 2):
+            norm_squared = norm_squared + square[..., j]
+        # a fresh array for every block: a caller may keep a round's arms
+        arms = g[..., :d] / np.sqrt(norm_squared)[..., None]
+        scores = arms[..., 0] * theta[0]
+        for j in range(1, d):
+            scores = scores + arms[..., j] * theta[j]
         self._arms = arms
-        self._best = best.tolist()
-        self._best_values = [self._mean_value(a) for a in
-                             scores[np.arange(BLOCK_ROUNDS), best].tolist()]
-        self._reward_draws = draws
+        self._scores = scores.tolist()
+        # + 0.0: a row max of signed zeros is 0.0, whichever one the loop keeps
+        self._best = (scores.max(axis=1) + 0.0).tolist()
         self._next = 0
 
     def step(self, t: int) -> ContextualRound:
-        if self._next == len(self._reward_draws):
+        if self._next == len(self._scores):
             self._draw_block()
         i = self._next
         self._next = i + 1
-        self._open = self._reward_draws[i]
-        return ContextualRound(arms=self._arms[i], best_arm=self._best[i],
-                               best_value=self._best_values[i])
+        self._open = scores = self._scores[i]
+        return ContextualRound(arms=self._arms[i], scores=scores, best_score=self._best[i])
 
-    def reward(self, x) -> float:
-        """The reward of x in the round the last step opened; once per round."""
-        u = self._open
-        if u is None:
+    def reward(self, arm: int) -> float:
+        """The reward of arm in the round the last step opened; once per round."""
+        scores = self._open
+        if scores is None:
             raise ContractViolation("reward needs a round opened by step, once per round")
         self._open = None
-        a = float(np.asarray(x, dtype=float).dot(self.theta_star))
+        a, u = scores[arm], self.rewards.uniform()
         if self.link is None:
             return a + (-1.0 + 2.0 * u)  # rng.uniform(-1.0, 1.0)'s formula
         return float(u < self.link.g(a))
 
     def instant_regret(self, rnd: ContextualRound, arm: int) -> float:
-        chosen = float(rnd.arms[arm].dot(self.theta_star))
-        return rnd.best_value - self._mean_value(chosen)
+        return self._mean_value(rnd.best_score) - self._mean_value(rnd.scores[arm])

@@ -210,9 +210,10 @@ class SlopeFit:
 # checkpoint subtracts from the accumulated total (0 where step already
 # returns regret).  BAI's setup returns replicate(), its stop-rule loop.
 # from_dict builds with rep None, where every stream is None (_stream).
-# The context-free streams are DrawAheads (_stream).  The contextual ones are
-# plain Generators (_generator): the environment mixes uniforms and normals
-# and draws its own blocks, and the reports draw arrays per call.
+# The context-free streams are DrawAheads (_stream), and so is the contextual
+# environment's reward stream.  Its other two are plain Generators
+# (_generator): the environment draws its own blocks of arm normals, and the
+# reports draw arrays per call.
 # Steps look library calls up at call time (module globals such as
 # derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
 # them for timing wrappers sees every call.
@@ -445,8 +446,8 @@ def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bo
     else:
         conf = ctx.LdpConfidence(sigma, d, config.horizon, alpha,
                                  kappa=float(params.get("kappa", 1.0)))
-    env = ContextualEnv(theta_star, n_arms,
-                        _generator(config, rep, "environment"), link=link)
+    env = ContextualEnv(theta_star, n_arms, _generator(config, rep, "environment"),
+                        _stream(config, rep, "reward"), link=link)
     server = ctx.ServerState(d, conf)
     report_rng = _generator(config, rep, "noise")
 
@@ -457,7 +458,7 @@ def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bo
         else:
             arm = ctx.linear_select_action(server, rnd.arms)
         x = rnd.arms[arm]
-        y = env.reward(x)
+        y = env.reward(arm)
         regret = env.instant_regret(rnd, arm)
         if glm:
             report = ctx.glm_local_report(x, y, server.theta_hat, link, sigma, report_rng)
@@ -702,28 +703,6 @@ def _fit_json(fit: SlopeFit) -> str:
         "window": list(fit.window),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def trajectory_csv(rows, path: str) -> str:
-    """Write per-round contextual records for offline coverage checks.
-
-    Columns, in order: t, arm, reward, theta_0..theta_{d-1}, beta, contained
-    (contained is 0/1 for the round's confidence-ellipsoid membership).
-    """
-    if not rows:
-        raise ConfigurationError("empty trajectory")
-    d = len(rows[0][3])
-    header = ",".join(["t", "arm", "reward"] + [f"theta_{i}" for i in range(d)]
-                      + ["beta", "contained"])
-    lines = [header]
-    for t, arm, reward, theta, beta, contained in rows:
-        theta_cols = ",".join(repr(float(v)) for v in theta)
-        lines.append(f"{int(t)},{int(arm)},{float(reward)!r},{theta_cols},"
-                     f"{float(beta)!r},{int(bool(contained))}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
 
 
 def parse_trace_csv(text: str):

@@ -16,7 +16,7 @@ from ldpbandits import (
     derive_rng,
     logistic_link,
 )
-from ldpbandits.environments import _to_ball
+from ldpbandits.environments import ContextualRound
 from ldpbandits.harness import _with_best_prefix
 
 
@@ -191,83 +191,112 @@ class TestAffineQuadraticOracle:
         assert other.drifts is not a.drifts
 
 
+def world(theta_star, n_arms, seed, link=None) -> ContextualEnv:
+    return ContextualEnv(np.array(theta_star), n_arms, derive_rng(seed, 0, "environment"),
+                         stream(seed, 0, "reward"), link=link)
+
+
 class TestContextualEnv:
     def test_single_arm_zero_regret(self):
-        env = ContextualEnv(np.array([1.0, 0.0]), 1, derive_rng(0, 0))
+        env = world([1.0, 0.0], 1, 0)
         for t in range(1, 50):
             rnd = env.step(t)
             assert env.instant_regret(rnd, 0) == 0.0
 
     def test_linear_hand_regret(self):
-        env = ContextualEnv(np.array([1.0, 0.0]), 2, derive_rng(0, 0))
+        env = world([1.0, 0.0], 2, 0)
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        from ldpbandits.environments import ContextualRound
-
-        rnd = ContextualRound(arms=arms, best_arm=0, best_value=1.0)
+        rnd = ContextualRound(arms=arms, scores=[1.0, -1.0], best_score=1.0)
         assert env.instant_regret(rnd, 1) == pytest.approx(2.0)
 
     def test_logistic_hand_regret(self):
         link = logistic_link()
-        env = ContextualEnv(np.array([1.0, 0.0]), 2, derive_rng(0, 0), link=link)
+        env = world([1.0, 0.0], 2, 0, link=link)
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        from ldpbandits.environments import ContextualRound
-
-        rnd = ContextualRound(arms=arms, best_arm=0, best_value=link.g(1.0))
+        rnd = ContextualRound(arms=arms, scores=[1.0, -1.0], best_score=1.0)
         assert env.instant_regret(rnd, 1) == pytest.approx(0.4621171572, abs=1e-9)
 
     def test_best_arm_matches_bruteforce(self):
         link = logistic_link()
-        env = ContextualEnv(np.array([0.6, -0.8]), 7, derive_rng(3, 0), link=link)
+        env = world([0.6, -0.8], 7, 3, link=link)
         for t in range(1, 200):
             rnd = env.step(t)
-            scores = [link.g(float(a @ env.theta_star)) for a in rnd.arms]
-            assert rnd.best_arm == int(np.argmax(scores))
-            assert rnd.best_value == pytest.approx(max(scores), rel=1e-12)
+            means = [link.g(float(a @ env.theta_star)) for a in rnd.arms]
+            assert rnd.scores == pytest.approx(rnd.arms @ env.theta_star, rel=1e-12, abs=1e-15)
+            assert link.g(rnd.best_score) == pytest.approx(max(means), rel=1e-12)
+            assert env.instant_regret(rnd, int(np.argmax(means))) == 0.0
+
+    @pytest.mark.parametrize("glm", [False, True])
+    def test_regret_is_zero_at_the_best_arm_and_never_negative(self, glm):
+        # the played arm's value is the one its round was scored with, so the
+        # best arm's regret is exactly 0 whatever theta*, not a rounding residue
+        link = logistic_link() if glm else None
+        worlds = [([0.6, -0.48, 0.64], 10), ([0.3, -0.4], 3),
+                  ([-0.2, 0.1, 0.5, -0.3, 0.25], 7), ([-0.7], 4)]
+        for seed, (theta_star, k) in enumerate(worlds):
+            env = world(theta_star, k, 10 + seed, link=link)
+            for t in range(1, 2001):
+                rnd = env.step(t)
+                regrets = [env.instant_regret(rnd, arm) for arm in range(k)]
+                assert min(regrets) == 0.0, (theta_star, t, regrets)
 
     def test_arm_norms_bounded(self):
-        env = ContextualEnv(np.array([1.0, 0.0, 0.0]), 10, derive_rng(4, 0))
+        env = world([1.0, 0.0, 0.0], 10, 4)
         for t in range(1, 500):
             rnd = env.step(t)
             assert np.all(np.linalg.norm(rnd.arms, axis=1) <= 1.0 + 1e-12)
 
     def test_linear_reward_bounded(self):
-        env = ContextualEnv(np.array([1.0, 0.0]), 3, derive_rng(5, 0))
+        env = world([1.0, 0.0], 3, 5)
         for t in range(1, 20_000):
-            rnd = env.step(t)
-            y = env.reward(rnd.arms[0])
+            env.step(t)
+            y = env.reward(0)
             assert abs(y) <= 2.0 + 1e-12
 
     def test_logistic_reward_is_binary_with_correct_mean(self):
         link = logistic_link()
-        env = ContextualEnv(np.array([1.0, 0.0]), 2, derive_rng(6, 0), link=link)
-        x = np.array([1.0, 0.0])
-        draws = []
+        env = world([1.0, 0.0], 2, 6, link=link)
+        draws, means = [], []
         for t in range(1, 50_001):
-            env.step(t)  # a reward belongs to the round step opened
-            draws.append(env.reward(x))
+            rnd = env.step(t)  # a reward belongs to the round step opened
+            draws.append(env.reward(0))
+            means.append(link.g(rnd.scores[0]))
         draws = np.array(draws)
         assert set(np.unique(draws)) <= {0.0, 1.0}
-        assert draws.mean() == pytest.approx(link.g(1.0), abs=0.01)
+        assert draws.mean() == pytest.approx(np.mean(means), abs=0.01)
 
     def test_seeded_determinism(self):
-        a = ContextualEnv(np.array([1.0, 0.0]), 5, derive_rng(7, 0, "environment"))
-        b = ContextualEnv(np.array([1.0, 0.0]), 5, derive_rng(7, 0, "environment"))
+        a, b = world([1.0, 0.0], 5, 7), world([1.0, 0.0], 5, 7)
         for t in range(1, 20):
             ra, rb = a.step(t), b.step(t)
             assert np.array_equal(ra.arms, rb.arms)
-            assert ra.best_arm == rb.best_arm
+            assert ra.scores == rb.scores and ra.best_score == rb.best_score
+            assert a.reward(t % 5) == b.reward(t % 5)
+
+
+def ball_points(d: int, n: int, seed: int) -> np.ndarray:
+    """n arms of a d-dimensional world: n / 100 rounds of 100 arms."""
+    env = world(np.zeros(d), 100, seed)
+    return np.concatenate([env.step(t).arms for t in range(1, n // 100 + 1)])
 
 
 class TestUnitBallSampling:
     def test_inside_ball(self):
-        rng = derive_rng(0, 0)
-        pts = _to_ball(rng.standard_normal((10_000, 3)), rng.random(10_000))
+        pts = ball_points(3, 10_000, 0)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
 
     def test_radial_distribution(self):
         # P(|x| <= r) = r^d for uniform in the ball
-        rng = derive_rng(1, 0)
-        pts = _to_ball(rng.standard_normal((200_000, 2)), rng.random(200_000))
-        radii = np.linalg.norm(pts, axis=1)
-        for r in (0.3, 0.5, 0.8):
-            assert (radii <= r).mean() == pytest.approx(r**2, abs=0.01)
+        for d in (2, 3):
+            radii = np.linalg.norm(ball_points(d, 200_000, d), axis=1)
+            for r in (0.3, 0.5, 0.8):
+                assert (radii <= r).mean() == pytest.approx(r**d, abs=0.01), (d, r)
+
+    def test_coordinate_moments(self):
+        # uniform in the ball: every coordinate has mean 0 and E[x_i x_j] is
+        # 1 / (d + 2) on the diagonal, 0 off it
+        for d in (2, 3):
+            pts = ball_points(d, 200_000, 10 + d)
+            assert np.abs(pts.mean(axis=0)).max() < 0.01, d
+            second = pts.T @ pts / len(pts)
+            assert np.abs(second - np.eye(d) / (d + 2)).max() < 0.01, d

@@ -10,16 +10,20 @@ horizon 200 with 4 replications (BAI: 8 replications with a pull cap of
 job, and its emitted CSV + JSON (BAI: the sorted payload the CLI writes,
 without wall_clock) is hashed.  The contextual instances are also pinned
 across three environment blocks, and their per-round records (trajectory
-rows, criterion 8's containment flags) at short horizons.
+rows, criterion 8's containment flags) at short horizons.  The contextual
+environment alone (arm sets, scores, best scores and rewards) is pinned over
+four blocks of a few worlds.
 
 A digest changes only when the emitted numbers change.  Such a change must
 be explained where it is made, and the digest recomputed with
 `python -m tests.test_golden` from the repository root.
 
-The context-free digests (BCO, MAB, BAI and the affine oracle) must not
-depend on the host's CPU either: they are recomputed in subprocesses that
-force other BLAS kernels, NumPy SIMD loops and libm variants, and must come
-out the same.
+Which digests do not depend on the host's CPU: the context-free ones (BCO,
+MAB, BAI and the affine oracle) and the contextual environment's.  They are
+recomputed in subprocesses that force other BLAS kernels, NumPy SIMD loops
+and libm variants, and must come out the same.  The full contextual digests
+(configs, criteria 6-8, multi-block, trajectory and coverage) are not yet
+host-independent: the learner's LAPACK solve, C einsum and BLAS norm remain.
 """
 
 import hashlib
@@ -33,9 +37,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldpbandits import ExperimentConfig, emit, mechanisms, run_bai, run_experiment
+from ldpbandits import (
+    ContextualEnv,
+    DrawAhead,
+    ExperimentConfig,
+    derive_rng,
+    emit,
+    environments,
+    logistic_link,
+    mechanisms,
+    run_bai,
+    run_experiment,
+)
 from ldpbandits.environments import BLOCK_ROUNDS
-from ldpbandits.harness import run_replication, trajectory_csv
+from ldpbandits.harness import run_replication
 from ldpbandits.suites import INSTANCES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +63,7 @@ GOLDEN = {
     "configs/bai_private.json":
         "95705abfc8731765f44660d2526175cb19039c780f11dcac5280d3a9ad73302c",
     "configs/contextual_linear_baseline.json":
-        "52493bf9626ab711cf63c70c36aba01e9d1e69c6a2f5afebb0307a43b92fa4ef",
+        "aead675868dec6136344ff0489574ed026749b59ed52edd4e382a8037656e9d8",
     "configs/mab_switching.json":
         "a821a1c95d48067d0990091ed99c802db7341f7bc05c5fec4e48bee1fc32dd1d",
     "configs/two_point_convex.json":
@@ -68,13 +83,13 @@ GOLDEN = {
     "criterion_5_bai_ldp":
         "95705abfc8731765f44660d2526175cb19039c780f11dcac5280d3a9ad73302c",
     "criterion_6_linear_baseline":
-        "52493bf9626ab711cf63c70c36aba01e9d1e69c6a2f5afebb0307a43b92fa4ef",
+        "aead675868dec6136344ff0489574ed026749b59ed52edd4e382a8037656e9d8",
     "criterion_6_linear_ldp":
-        "462c79f1f251dd04a19e82a38ee09ac3b27ed10e085d6efca1b747bdb89a1f7e",
+        "d1847a3441dfd10f8a5043b5f8d5a85e7658ad2202cec45892a1c35e71de4908",
     "criterion_7_glm":
-        "43b93c605f9c34fdb2d46b873ab02ccb41553dd19591359f3df023b399b17499",
+        "a1a646dc25ab8c95f9d90cfa81e3ad7eb0eb86e3440f5a058ef22559be3b3e58",
     "criterion_8_coverage":
-        "f6cb966352def094c8bba1e345d6a322c29c6d2898c7329206989363e6c2312a",
+        "d980146f9663a0fd277d14b7f92e450cc8cdfe9ac3233da110a55f81726ab97f",
 }
 
 
@@ -132,15 +147,65 @@ def test_affine_digest(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the context-free digests under other CPU code paths
+# the contextual environment alone
 #
-# The BCO rounds compute by a fixed-order rule in Python floats and every
-# context-free stream is a plain Generator draw, so these bytes must not move
-# with the host's instruction set.  The contextual digests are left out: their
-# dots, norms and small solves still go through BLAS, LAPACK and NumPy's SIMD
-# transcendentals until their half of the fixed-order rule lands (ROADMAP item
-# 1).  lil'UCB's widths use np.log, a latent host dependence that no forced
-# variant below moves today.
+# Four worlds over four blocks of rounds: each round's arm set, its scores
+# x . theta*, its best score and the reward of arm t mod K in round t, as
+# little-endian 8-byte floats.
+
+ENVIRONMENT_SEED = 17
+ENVIRONMENT_ROUNDS = 4 * BLOCK_ROUNDS
+ENVIRONMENT_WORLDS = {  # theta*, K, logistic link
+    "glm_d3_k10": ([0.6, -0.48, 0.64], 10, True),
+    "glm_d5_k7": ([-0.2, 0.1, 0.5, -0.3, 0.25], 7, True),
+    "linear_d2_k3": ([0.3, -0.4], 3, False),
+    "linear_d3_k10": ([0.6, -0.48, 0.64], 10, False),
+}
+ENVIRONMENT_GOLDEN = {
+    "glm_d3_k10": "a3d87e7415a6f97fd431f4a6ace48dcf66db6ce6ff79ef17c7e4c510db6f5391",
+    "glm_d5_k7": "69f26dcf1eb7862ae54a5d449cb7e8052cd2926865c28f7d63c11b03876abe88",
+    "linear_d2_k3": "e413f50932389eb0f84cab1fee3dede908bc84dc5a49c9e20df5244e7ab1c338",
+    "linear_d3_k10": "ef6cfd653c38396a17d4291266360ceeb4aa4e8f4ad3c2612c7663da5b095f90",
+}
+
+
+def environment_digest(name: str) -> str:
+    theta_star, k, glm = ENVIRONMENT_WORLDS[name]
+    env = ContextualEnv(np.array(theta_star), k,
+                        derive_rng(ENVIRONMENT_SEED, "environment"),
+                        DrawAhead(derive_rng(ENVIRONMENT_SEED, "reward")),
+                        link=logistic_link() if glm else None)
+    digest = hashlib.sha256()
+    for t in range(1, ENVIRONMENT_ROUNDS + 1):
+        rnd = env.step(t)
+        digest.update(rnd.arms.astype("<f8").tobytes())
+        values = [*rnd.scores, rnd.best_score, env.reward(t % k)]
+        digest.update(np.array(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def environment_digests() -> dict:
+    return {name: environment_digest(name) for name in ENVIRONMENT_WORLDS}
+
+
+def test_environment_digest():
+    assert environment_digests() == ENVIRONMENT_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# digests under other CPU code paths
+#
+# The BCO rounds compute by a fixed-order rule in Python floats, the
+# contextual environment by elementwise NumPy steps that are correctly
+# rounded, and every stream is a plain Generator draw, so the context-free
+# digests and the environment digests must not move with the host's
+# instruction set.  The full contextual digests are left out: the learner's
+# small solves, optimistic index and report norms still go through LAPACK,
+# NumPy's C einsum and BLAS until their half of the fixed-order rule lands
+# (ROADMAP item 1).  Latent host dependences that no forced variant below
+# moves today: lil'UCB's widths use np.log, and a GLM reward compares its
+# uniform with the link's math.exp value, which flips only if the uniform
+# falls within the last bit that libm could change.
 
 HOST_INDEPENDENT = sorted(
     name for name in GOLDEN if not _doc(name)["algorithm"].startswith("contextual_"))
@@ -197,8 +262,10 @@ FORCED_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("variant", sorted(FORCED_VARIANTS))
-def test_context_free_digests_under_forced_cpu_variant(variant):
+def digests_under(variant: str, function: str) -> dict:
+    """What function, a name in this module, returns when a subprocess
+    computes it under the forced CPU variant; skips where the variant cannot
+    take effect on this host."""
     extra, applies = FORCED_VARIANTS[variant]
     why_not = applies()
     if why_not is not None:
@@ -208,28 +275,24 @@ def test_context_free_digests_under_forced_cpu_variant(variant):
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json; from tests.test_golden import host_independent_digests; "
-         "print(json.dumps(host_independent_digests()))"],
+         f"import json; from tests.test_golden import {function}; "
+         f"print(json.dumps({function}()))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("variant", sorted(FORCED_VARIANTS))
+def test_context_free_digests_under_forced_cpu_variant(variant):
     expected = {name: GOLDEN[name] for name in HOST_INDEPENDENT}
     expected["affine"] = AFFINE_GOLDEN
-    assert json.loads(proc.stdout.splitlines()[-1]) == expected
+    assert digests_under(variant, "host_independent_digests") == expected
 
 
-# The block a DrawAhead stream draws ahead changes no bit: the BCO, MAB and
-# BAI digests at block sizes 1 and 7 are the golden ones.
-BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
-                 "criterion_4_mab_stochastic", "criterion_4_mab_switching",
-                 "criterion_5_bai_ldp"]
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
-    monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
-    for name in BLOCK_CHECKED:
-        assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name], name
+@pytest.mark.parametrize("variant", sorted(FORCED_VARIANTS))
+def test_environment_digests_under_forced_cpu_variant(variant):
+    assert digests_under(variant, "environment_digests") == ENVIRONMENT_GOLDEN
 
 
 # Criterion 6 (private and non-private) and criterion 7 at a horizon that
@@ -238,11 +301,11 @@ def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
 MULTI_BLOCK_HORIZON = 800
 MULTI_BLOCK_GOLDEN = {
     "criterion_6_linear_baseline":
-        "386c3bd8bdeffe027602fe4e09989c94a2e30f712e5c8a15b90bbecef4016765",
+        "74ebe2eabe95d0c5acb713fcb99901f7d5d380527d90d7e4a2f9bbc3f5bbdf83",
     "criterion_6_linear_ldp":
-        "c1e0eba33fdb3bc9c5b4da7c7ac861aff0c1f6275886779e08788efbd056967e",
+        "6ddca7ed3f0351638b4f7beb42d1155c3cbd36fc46680126d36e6763715b159f",
     "criterion_7_glm":
-        "dd45e95c5131d24d8c22ce3bef6dfcf38be9bb283de3bf5565ff07699c67cda0",
+        "330dcb35644a016b975ef6e60401889aae3a51890c713f7394e52c02b490ff5f",
 }
 
 
@@ -259,12 +322,33 @@ def test_multi_block_digest(name, tmp_path):
     assert emitted_digest(_multi_block_doc(name), tmp_path) == MULTI_BLOCK_GOLDEN[name]
 
 
-# The per-round record of the contextual algorithms: the trajectory CSVs of
+# No block drawn ahead changes a bit, neither a DrawAhead stream's nor the
+# contextual environment's block of arm sets (its rewards come from a
+# stream of their own): the BCO, MAB, BAI and contextual digests and the
+# multi-block ones at block sizes 1 and 7 are the golden ones.
+BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
+                 "criterion_4_mab_stochastic", "criterion_4_mab_switching",
+                 "criterion_5_bai_ldp"] + sorted(
+    name for name in GOLDEN if name not in HOST_INDEPENDENT)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
+    monkeypatch.setattr(environments, "BLOCK_ROUNDS", block)
+    for name in BLOCK_CHECKED:
+        assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name], name
+    for name in sorted(MULTI_BLOCK_GOLDEN):
+        digest = emitted_digest(_multi_block_doc(name), tmp_path)
+        assert digest == MULTI_BLOCK_GOLDEN[name], name
+
+
+# The per-round record of the contextual algorithms: the recorded rows of
 # small private linear and GLM runs, and the containment flags (one byte per
 # round, replications in order) of criterion 8's instance at a short horizon
-# and of a non-private GLM run.  Criterion 8's flags are all 1 at this horizon; the
-# non-private run's width misses theta* in most rounds, so its digest also
-# pins flags that read 0.
+# and of a non-private GLM run.  Criterion 8's flags are all 1 at this
+# horizon; the non-private run's width misses theta* in 249 of replication
+# 1's 300 rounds, so its digest also pins flags that read 0.
 _TRAJECTORY_DOC = {
     "algorithm": "contextual_linear", "horizon": 50, "replications": 1,
     "base_seed": 2, "environment": {"dim": 2, "n_arms": 3},
@@ -275,8 +359,8 @@ TRAJECTORY_DOCS = {
     "glm": dict(_TRAJECTORY_DOC, algorithm="contextual_glm"),
 }
 TRAJECTORY_GOLDEN = {
-    "glm": "21b76415c53c2832e82e6afec809a83d7de93b7d5c3321b423412d0d3ec09deb",
-    "linear": "91a8feff5774c164c6c2091040b2ff336e6d48fbd183498088b84dee3ccdbdb5",
+    "glm": "be96e77560758e93658a253de3fe1c600a81e4567f2049e8711d0b334e3905de",
+    "linear": "c7facf2b0f24fa0314eb95f01effff1c5350c39b90c29eaa9ede69c89b445529",
 }
 COVERAGE_DOCS = {
     "criterion_8": dict(INSTANCES["criterion_8_coverage"], horizon=300, replications=4),
@@ -287,15 +371,21 @@ COVERAGE_DOCS = {
 }
 COVERAGE_GOLDEN = {
     "criterion_8": "64bf4e7fe668627a965187e536da3baef5a3ae007bd0fd657421b3ff7bea9127",
-    "glm_baseline": "77d3addabd41b0bf6535c111e767aa8f2198c3baeeb167343ad303f49c7daab3",
+    "glm_baseline": "4917f4ce3230e55867673e80689a67a5c7c1f95183a8f124f48078d9104598cf",
 }
 
 
-def trajectory_digest(name: str, out_dir: Path) -> str:
+def trajectory_digest(name: str) -> str:
+    """Every field of every recorded row: t and arm as 8-byte integers, the
+    reward, theta_tilde and beta as 8-byte floats, contained as one byte."""
     rows = []
     run_replication(ExperimentConfig.from_dict(TRAJECTORY_DOCS[name]), 0, record=rows)
-    path = trajectory_csv(rows, str(out_dir / "trajectory.csv"))
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    for t, arm, reward, theta, beta, contained in rows:
+        digest.update(np.array([t, arm], dtype="<i8").tobytes())
+        digest.update(np.array([reward, *theta, beta], dtype="<f8").tobytes())
+        digest.update(bytes([bool(contained)]))
+    return digest.hexdigest()
 
 
 def coverage_digest(name: str) -> str:
@@ -309,8 +399,8 @@ def coverage_digest(name: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_GOLDEN))
-def test_trajectory_digest(name, tmp_path):
-    assert trajectory_digest(name, tmp_path) == TRAJECTORY_GOLDEN[name]
+def test_trajectory_digest(name):
+    assert trajectory_digest(name) == TRAJECTORY_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(COVERAGE_GOLDEN))
@@ -338,7 +428,9 @@ if __name__ == "__main__":
         print(f'AFFINE_GOLDEN = "{emitted_digest(AFFINE_DOC, Path(tmp))}"')
         for key in sorted(MULTI_BLOCK_GOLDEN):
             print(f'    "{key}": "{emitted_digest(_multi_block_doc(key), Path(tmp))}",')
-        for key in sorted(TRAJECTORY_GOLDEN):
-            print(f'    "{key}": "{trajectory_digest(key, Path(tmp))}",')
+    for key in sorted(TRAJECTORY_GOLDEN):
+        print(f'    "{key}": "{trajectory_digest(key)}",')
     for key in sorted(COVERAGE_GOLDEN):
         print(f'    "{key}": "{coverage_digest(key)}",')
+    for key in sorted(ENVIRONMENT_WORLDS):
+        print(f'    "{key}": "{environment_digest(key)}",')

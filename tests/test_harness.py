@@ -480,7 +480,7 @@ class TestEmit:
 
 
 class TestTrajectoryDump:
-    def _rows(self):
+    def test_linear_trajectory_records(self):
         from ldpbandits.harness import run_replication
 
         config = ExperimentConfig.from_dict({
@@ -490,10 +490,6 @@ class TestTrajectoryDump:
         })
         rows = []
         run_replication(config, 0, record=rows)
-        return rows
-
-    def test_linear_trajectory_records(self):
-        rows = self._rows()
         assert len(rows) == 50
         t, arm, reward, theta, beta, contained = rows[0]
         assert t == 1
@@ -506,17 +502,3 @@ class TestTrajectoryDump:
 
         with pytest.raises(ConfigurationError):
             run_replication(ExperimentConfig.from_dict(mab_doc()), 0, record=[])
-
-    def test_trajectory_csv_format(self, tmp_path):
-        from ldpbandits.harness import trajectory_csv
-
-        rows = self._rows()
-        path = trajectory_csv(rows, str(tmp_path / "trajectory.csv"))
-        lines = open(path).read().splitlines()
-        assert lines[0] == "t,arm,reward,theta_0,theta_1,beta,contained"
-        assert len(lines) == 51
-        fields = lines[1].split(",")
-        assert fields[0] == "1"
-        assert fields[-1] in ("0", "1")
-        # floats round-trip exactly
-        assert float(fields[2]) == rows[0][2]

@@ -38,7 +38,7 @@ from ldpbandits.contextual import (
     linear_local_report,
     logistic_link,
 )
-from ldpbandits.environments import BLOCK_ROUNDS, ContextualRound, _to_ball
+from ldpbandits.environments import BLOCK_ROUNDS, ContextualRound
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -282,22 +282,14 @@ def test_symmetric_noise_matches_mirrored_assignment(d, sigma, seed):
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
-@SETTINGS
-@given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_unit_ball_matches_linalg_norm_rows(n, d, seed):
-    ref_rng = np.random.default_rng(seed)
-    g = ref_rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    ref = g * (ref_rng.random(n) ** (1.0 / d))[:, None]
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((n, d))
-    assert bits(_to_ball(normals, rng.random(n))) == bits(ref)
+def random_arms(k: int, d: int, rng) -> np.ndarray:
+    """k points uniform in the d-ball: d of d + 2 normals over their norm."""
+    g = rng.standard_normal((k, d + 2))
+    return g[:, :d] / np.linalg.norm(g, axis=1)[:, None]
 
 
 def unit_ball_point(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((1, d))
-    return _to_ball(normals, rng.random(1))[0]
+    return random_arms(1, d, np.random.default_rng(seed))[0]
 
 
 @SETTINGS
@@ -418,11 +410,6 @@ def test_regularize_clamps_an_indefinite_sum():
     assert clamped
     assert bits(server._regularize(1.0)) == bits(ref)
     assert server.clamp_count == 1
-
-
-def random_arms(k: int, d: int, rng) -> np.ndarray:
-    g = rng.standard_normal((k, d))
-    return _to_ball(g, rng.random(k))
 
 
 @SETTINGS
@@ -557,25 +544,36 @@ def test_glm_report_matches_matmul_reference(d, sigma, y, seed):
     assert bits(report.gradient) == bits(grad)
 
 
+def in_order_sum(terms) -> float:
+    """terms summed left to right from the first one, as the environment's
+    column sums are (left_to_right_sum's 0.0 + -0.0 would drop a sign)."""
+    total = terms[0]
+    for v in terms[1:]:
+        total += v
+    return total
+
+
 class PerRoundContextualEnv(ContextualEnv):
-    """The contextual environment as it drew each round on its own, arm set
-    at step and reward noise at reward: the reference the block drawing
-    replaces."""
+    """The contextual environment drawing each round on its own and shaping
+    it in Python floats, arm set at step and reward uniform at reward from a
+    plain Generator: the reference the block drawing replaces."""
 
     def step(self, t: int) -> ContextualRound:
-        g = self.rng.standard_normal((self.k, self.d))
-        g /= np.sqrt((g * g).sum(axis=1))[:, None]
-        arms = g * (self.rng.random(self.k) ** (1.0 / self.d))[:, None]
-        scores = arms @ self.theta_star
-        best = int(scores.argmax())
-        return ContextualRound(arms=arms, best_arm=best,
-                               best_value=self._mean_value(float(scores[best])))
+        theta = self.theta_star.tolist()
+        arms, scores = [], []
+        for g in self.rng.standard_normal((self.k, self.d + 2)).tolist():
+            norm = math.sqrt(in_order_sum([v * v for v in g]))
+            x = [v / norm for v in g[:self.d]]
+            arms.append(x)
+            scores.append(in_order_sum([a * b for a, b in zip(x, theta)]))
+        self._open = scores
+        return ContextualRound(arms=np.array(arms), scores=scores, best_score=max(scores) + 0.0)
 
-    def reward(self, x) -> float:
-        a = float(np.asarray(x, dtype=float) @ self.theta_star)
+    def reward(self, arm: int) -> float:
+        a = self._open[arm]
         if self.link is None:
-            return a + float(self.rng.uniform(-1.0, 1.0))
-        return float(self.rng.random() < self.link.g(a))
+            return a + float(self.rewards.uniform(-1.0, 1.0))
+        return float(self.rewards.random() < self.link.g(a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,24 +585,26 @@ def test_block_environment_matches_per_round_reference(d, k, glm, seed, theta):
     theta = np.array(theta[:d])
     theta /= max(1.0, float(np.linalg.norm(theta)) * (1.0 + 1e-15))
     link = logistic_link() if glm else None
-    block = ContextualEnv(theta, k, np.random.default_rng(seed), link=link)
-    reference = PerRoundContextualEnv(theta, k, np.random.default_rng(seed), link=link)
+    block = ContextualEnv(theta, k, np.random.default_rng(seed),
+                          DrawAhead(derive_rng(seed, "reward")), link=link)
+    reference = PerRoundContextualEnv(theta, k, np.random.default_rng(seed),
+                                      derive_rng(seed, "reward"), link=link)
     with pytest.raises(ContractViolation):
-        block.reward(np.zeros(d))  # no round is open yet
+        block.reward(0)  # no round is open yet
     played = np.random.default_rng(seed + 1).integers(k, size=4 * BLOCK_ROUNDS)
     kept = []
     # four whole blocks: three block boundaries crossed
     for t, arm in enumerate(played.tolist(), start=1):
         rnd, ref = block.step(t), reference.step(t)
         assert bits(rnd.arms) == bits(ref.arms)
-        assert rnd.best_arm == ref.best_arm
-        assert bits(rnd.best_value) == bits(ref.best_value)
-        x = rnd.arms[arm]
-        assert bits(block.reward(x)) == bits(reference.reward(x))
+        assert bits(rnd.scores) == bits(ref.scores)
+        assert bits(rnd.best_score) == bits(ref.best_score)
+        assert bits(block.instant_regret(rnd, arm)) == bits(reference.instant_regret(ref, arm))
+        assert bits(block.reward(arm)) == bits(reference.reward(arm))
         if t % 97 == 1:
             kept.append((rnd.arms, rnd.arms.copy()))
     with pytest.raises(ContractViolation):
-        block.reward(x)  # the round's reward is used
+        block.reward(arm)  # the round's reward is used
     assert block.rng.bit_generator.state == reference.rng.bit_generator.state
     for arms, copy in kept:  # later blocks do not write into earlier rounds
         assert bits(arms) == bits(copy)
