@@ -58,6 +58,7 @@ from .harness import (
 from .mechanisms import (
     DrawAhead,
     PrivacyParams,
+    ReportNoise,
     calibrate_gaussian,
     derive_rng,
     perturb_scalar,

@@ -42,13 +42,17 @@ except ImportError:  # NumPy < 2
     from numpy.core.multiarray import c_einsum
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .mechanisms import PrivacyParams, perturb_vector, symmetric_gaussian_matrix
+from .mechanisms import PrivacyParams, ReportNoise
+# bound here for the benchmark's tracer, which wraps it as contextual calls it;
+# the reports draw through ReportNoise, of which it is the one-round form
+from .mechanisms import symmetric_gaussian_matrix  # noqa: F401
 
 EIG_FLOOR = 1e-8
-# Below this dimension the report's symmetry check and the server's Gershgorin
-# screen loop over Python floats, which beats NumPy's per-call cost; from it on
-# they use NumPy. Below 8 terms NumPy's pairwise row sum is a plain
-# left-to-right loop, so the Python screen keeps NumPy's bits.
+# Below this dimension the report's symmetry check compares Python float lists
+# and the server's Gershgorin screen loops over Python floats, which beats
+# NumPy's per-call cost; from it on they use NumPy. Below 8 terms NumPy's
+# pairwise row sum is a plain left-to-right loop, so the Python screen keeps
+# NumPy's bits.
 _SMALL_D = 8
 # Below this many arms, max and min over a Python list beat NumPy's reductions.
 _SMALL_K = 32
@@ -97,9 +101,13 @@ class LinkFunction:
     def loss(self, a: float, y: float) -> float:
         return -a * y + self.m(a)
 
+    def residual(self, a: float, y: float) -> float:
+        """g(a) - y: the loss's derivative in a, the gradient's coefficient."""
+        return self.g(a) - y
+
     def gradient(self, x: np.ndarray, y: float, theta: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (self.g(float(x.dot(theta))) - y) * x
+        return self.residual(float(x.dot(theta)), y) * x
 
 
 def _sigmoid(a: float) -> float:
@@ -143,8 +151,10 @@ class LdpConfidence:
         self.alpha = float(alpha)
         self.kappa = float(kappa)
         self._log_factor = 4.0 * math.sqrt(d) + 2.0 * math.log(2.0 * horizon / alpha)
+        self._log_2t = math.log(2.0 * self.horizon / self.alpha)
         self._dlnt = self.d * math.log(self.horizon)
         self._beta_floor = 2.0 * self.sigma * math.sqrt(self._dlnt)
+        self._glm_link = self._glm_factor = None
 
     def upsilon(self, t: int) -> float:
         """Upsilon_t = sigma sqrt(t) (4 sqrt(d) + 2 ln(2T/alpha)); t=0 maps to t=1."""
@@ -166,13 +176,10 @@ class LdpConfidence:
         t = max(int(t), 1)
         if self.sigma == 0.0:
             return 0.0
-        beta_sq = (
-            self.kappa
-            * (link.value_bound * self.sigma / link.curvature)
-            * math.sqrt(self.d * t)
-            * math.log(2.0 * self.horizon / self.alpha)
-        )
-        return math.sqrt(beta_sq)
+        if link is not self._glm_link:  # the factor before sqrt(d t), per link
+            self._glm_link = link
+            self._glm_factor = self.kappa * (link.value_bound * self.sigma / link.curvature)
+        return math.sqrt(self._glm_factor * math.sqrt(self.d * t) * self._log_2t)
 
 
 class BaselineConfidence:
@@ -225,35 +232,40 @@ class LocalReport:
 
 
 def _symmetric(gram: np.ndarray) -> bool:
-    """np.array_equal(gram, gram.T); below _SMALL_D, by Python float
-    comparisons, so a NaN anywhere (the diagonal included) makes it False."""
+    """np.array_equal(gram, gram.T); below _SMALL_D, by comparing the two as
+    nested lists of Python floats, so a NaN anywhere (the diagonal included)
+    makes it False."""
     if gram.ndim != 2 or gram.shape[0] >= _SMALL_D:
         return np.array_equal(gram, gram.T)
-    if gram.shape[0] != gram.shape[1]:
-        return False
-    rows = gram.tolist()
-    for i, row in enumerate(rows):
-        for j in range(i + 1):
-            if row[j] != rows[j][i]:
-                return False
-    return True
+    return gram.tolist() == gram.T.tolist()
 
 
-def linear_local_report(x, y: float, sigma: float,
-                        rng: np.random.Generator) -> LocalReport:
+def _report(x: np.ndarray, coefficients: list, sigma: float, scales: tuple,
+            noise: ReportNoise) -> LocalReport:
+    """The rows c_i x for c = (x_0, ..., x_{d-1}, *coefficients), plus one
+    round of noise: the gram x x^T, then the vector c x of each coefficient,
+    every entry one rounded product as in np.outer(x, x) and c * x.  The
+    report's arrays are views of these rows."""
+    d = x.size
+    rows = np.array(x.tolist() + coefficients)[:, None] * x
+    if sigma != 0.0:
+        rows += noise.round(d, sigma, scales)
+    gradient = rows[d + 1] if len(coefficients) > 1 else None
+    return LocalReport(rows[:d], rows[d], gradient)
+
+
+def linear_local_report(x, y: float, sigma: float, noise: ReportNoise) -> LocalReport:
     """(x x^T + B, y x + xi) with symmetric Gaussian B and xi ~ N(0, sigma^2 I)."""
     x = np.asarray(x, dtype=float)
     if _norm(x) > 1.0 + 1e-9:
         raise ContractViolation("context norm exceeds 1")
     if abs(y) > 2.0 + 1e-9:
         raise ContractViolation("linear reward outside [-2, 2]")
-    # x[:, None] * x is np.outer's product without its wrapper
-    gram = x[:, None] * x + symmetric_gaussian_matrix(x.size, sigma, rng)
-    return LocalReport(gram=gram, moment=perturb_vector(y * x, sigma, rng))
+    return _report(x, [y], sigma, (sigma,), noise)
 
 
 def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
-                     rng: np.random.Generator) -> LocalReport:
+                     noise: ReportNoise) -> LocalReport:
     """(x x^T + B, z x + xi, grad + r) with z = x . theta_hat,
     grad = (g(z) - y) x and r ~ N(0, C^2 sigma^2 I)."""
     x = np.asarray(x, dtype=float)
@@ -262,10 +274,9 @@ def glm_local_report(x, y: float, theta_hat, link: LinkFunction, sigma: float,
         raise ContractViolation("context norm exceeds 1")
     if _norm(theta_hat) > 1.0 + 1e-9:
         raise ContractViolation("rough estimate left the unit ball")
-    gram = x[:, None] * x + symmetric_gaussian_matrix(x.size, sigma, rng)
-    moment = perturb_vector(float(x.dot(theta_hat)) * x, sigma, rng)
-    grad = perturb_vector(link.gradient(x, y, theta_hat), link.value_bound * sigma, rng)
-    return LocalReport(gram=gram, moment=moment, gradient=grad)
+    z = float(x.dot(theta_hat))
+    return _report(x, [z, link.residual(z, y)], sigma, (sigma, link.value_bound * sigma),
+                   noise)
 
 
 def project_unit_ball(v: np.ndarray) -> np.ndarray:

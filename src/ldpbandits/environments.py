@@ -226,7 +226,8 @@ class ContextualEnv:
     so every arm and score comes from correctly rounded elementwise steps and
     does not depend on the host's SIMD loops or BLAS kernel.  A round's scores
     are computed once; reward and instant_regret read them, and only there
-    does a GLM apply its link.
+    does a GLM apply its link, once to the paid arm's score: instant_regret
+    reuses the mean that reward paid out for the same round and arm.
     """
 
     def __init__(self, theta_star, n_arms: int, rng: np.random.Generator,
@@ -242,10 +243,12 @@ class ContextualEnv:
         self.rewards = rewards
         self.link = link
         # the current block, drawn at the first step; _open is the scores of
-        # the round the last step opened, None once its reward is drawn
+        # the round the last step opened, None once its reward is drawn, and
+        # _paid the (scores, arm, mean) of the last reward
         self._scores: list[list[float]] = []
         self._next = 0
         self._open = None
+        self._paid = (None, None, None)
 
     def _mean_value(self, a: float) -> float:
         return self.link.g(a) if self.link is not None else a
@@ -285,7 +288,12 @@ class ContextualEnv:
         a, u = scores[arm], self.rewards.uniform()
         if self.link is None:
             return a + (-1.0 + 2.0 * u)  # rng.uniform(-1.0, 1.0)'s formula
-        return float(u < self.link.g(a))
+        mean = self.link.g(a)
+        self._paid = (scores, arm, mean)
+        return float(u < mean)
 
     def instant_regret(self, rnd: ContextualRound, arm: int) -> float:
-        return self._mean_value(rnd.best_score) - self._mean_value(rnd.scores[arm])
+        paid_scores, paid_arm, mean = self._paid
+        if rnd.scores is not paid_scores or arm != paid_arm:
+            mean = self._mean_value(rnd.scores[arm])
+        return self._mean_value(rnd.best_score) - mean

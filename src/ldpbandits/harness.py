@@ -36,7 +36,7 @@ from .environments import (
     StochasticMab,
 )
 from .errors import ConfigurationError, ContractViolation
-from .mechanisms import DrawAhead, PrivacyParams, derive_rng
+from .mechanisms import DrawAhead, PrivacyParams, ReportNoise, derive_rng
 from .reductions import (
     LdpBaiLearner,
     LdpMabLearner,
@@ -211,9 +211,9 @@ class SlopeFit:
 # returns regret).  BAI's setup returns replicate(), its stop-rule loop.
 # from_dict builds with rep None, where every stream is None (_stream).
 # The context-free streams are DrawAheads (_stream), and so is the contextual
-# environment's reward stream.  Its other two are plain Generators
-# (_generator): the environment draws its own blocks of arm normals, and the
-# reports draw arrays per call.
+# environment's reward stream.  Its environment stream is a plain Generator
+# (_generator) that draws its own blocks of arm normals, and its noise stream
+# a ReportNoise (_stream) that draws blocks of report noise.
 # Steps look library calls up at call time (module globals such as
 # derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
 # them for timing wrappers sees every call.
@@ -229,9 +229,9 @@ def _generator(config: ExperimentConfig, rep: int | None, role: str):
     return None if rep is None else derive_rng(config.base_seed, rep, role)
 
 
-def _stream(config: ExperimentConfig, rep: int | None, role: str):
+def _stream(config: ExperimentConfig, rep: int | None, role: str, kind=DrawAhead):
     rng = _generator(config, rep, role)
-    return None if rng is None else DrawAhead(rng)
+    return None if rng is None else kind(rng)
 
 
 def _params(config: ExperimentConfig, *allowed) -> dict:
@@ -449,7 +449,7 @@ def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bo
     env = ContextualEnv(theta_star, n_arms, _generator(config, rep, "environment"),
                         _stream(config, rep, "reward"), link=link)
     server = ctx.ServerState(d, conf)
-    report_rng = _generator(config, rep, "noise")
+    noise = _stream(config, rep, "noise", ReportNoise)
 
     def step(t):
         rnd = env.step(t)
@@ -461,10 +461,10 @@ def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bo
         y = env.reward(arm)
         regret = env.instant_regret(rnd, arm)
         if glm:
-            report = ctx.glm_local_report(x, y, server.theta_hat, link, sigma, report_rng)
+            report = ctx.glm_local_report(x, y, server.theta_hat, link, sigma, noise)
             ctx.glm_server_update(server, report, zeta)
         else:
-            ctx.linear_server_update(server, ctx.linear_local_report(x, y, sigma, report_rng))
+            ctx.linear_server_update(server, ctx.linear_local_report(x, y, sigma, noise))
         if record is not None:
             # is theta* in the round's confidence ellipsoid |theta - theta*|_V <= beta?
             beta = conf.beta_glm(t, link) if glm else conf.beta_linear(t)

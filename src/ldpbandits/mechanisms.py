@@ -4,15 +4,17 @@ uses, and the named streams every replication draws from.
 Calibration is the Gaussian mechanism,
 sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.  The samplers are the
 only code that draws report noise: perturb_scalar (optionally along a
-direction, for the two-point report n . (x1 - x2)), perturb_vector and
-symmetric_gaussian_matrix.  Each draws nothing at sigma = 0, so a zero-noise
-run consumes the same stream as a non-private one and its reports carry the
-clean values.  perturb_scalar draws from a DrawAhead stream: a derive_rng
-Generator's uniforms or standard normals, drawn a block ahead in the
-Generator's own order, so a sample is the same float a per-call draw would
-give.  perturb_vector and symmetric_gaussian_matrix return arrays and draw
-from their Generator per call: one Generator.normal(size=k) call costs less
-than scaling a drawn-ahead block with NumPy's per-call overhead.
+direction, for the two-point report n . (x1 - x2)) for the scalar reports and
+ReportNoise for the contextual ones, with perturb_vector and
+symmetric_gaussian_matrix as its one-round forms.  Each draws nothing at
+sigma = 0, so a zero-noise run consumes the same stream as a non-private one
+and its reports carry the clean values.  Both draw a block ahead in the
+Generator's own order and scale a draw as Generator.normal(0, sigma) scales
+it, 0.0 + sigma * z, so a sample is the same float a per-call draw would
+give.  perturb_scalar takes a DrawAhead stream: a derive_rng Generator's
+uniforms or standard normals as Python floats.  ReportNoise keeps its block
+as one array and hands out a round of a report's matrix and vector noise as
+a view of it, so a round makes no Generator call and builds no array.
 
 Note on the Gaussian calibration: the closed form is the standard one and its
 analysis assumes epsilon is not large (the usual caveat is epsilon <= 1).  The
@@ -145,22 +147,88 @@ def perturb_scalar(value: float, sigma: float, stream: DrawAhead,
     return value + total
 
 
+# Rounds a ReportNoise draws at a time, fewer where a round is large (at
+# most _REPORT_FLOATS floats a block).  Any block size gives the same floats
+# in the same order.
+REPORT_BLOCK = 256
+_REPORT_FLOATS = 1 << 16
+
+
+class ReportNoise:
+    """A contextual report's Gaussian noise, round by round, from a block of
+    rounds drawn ahead.
+
+    round(d, sigma, scales) is a (d + m, d) array for m = len(scales): rows
+    0..d-1 a d x d matrix whose upper triangle is i.i.d. N(0, sigma^2) and
+    mirrored exactly, row d + j i.i.d. N(0, scales[j]^2).  A round takes its
+    d(d+1)/2 + m d standard normals from rng in that order, the triangle
+    row-major first, as one Generator.normal call per group would, and a
+    group whose scale is 0 draws nothing and reads 0.0.  One standard_normal
+    call draws a block of rounds, scaled once and mirrored once; a round is a
+    read-only view of it.  A sampler serves one (d, sigma, scales) layout:
+    asking for another raises.  Nothing is drawn before the first request.
+    """
+
+    __slots__ = ("rng", "block", "_layout", "_rounds", "_next")
+
+    def __init__(self, rng: np.random.Generator, block: int | None = None):
+        self.rng = rng
+        self.block = block  # rounds a block holds; None: REPORT_BLOCK at refill
+        self._layout = None
+        self._rounds = ()
+        self._next = 0
+
+    def round(self, d: int, sigma: float, scales: tuple[float, ...]) -> np.ndarray:
+        i = self._next
+        if i < len(self._rounds) and (d, sigma, scales) == self._layout:
+            self._next = i + 1
+            return self._rounds[i]
+        layout = (d, sigma, scales)
+        if self._layout is not None and layout != self._layout:
+            raise ContractViolation(f"a sampler of {self._layout} rounds cannot serve {layout}")
+        self._layout = layout
+        groups = ((sigma, d * (d + 1) // 2),) + tuple((s, d) for s in scales)
+        index = _round_index(d, tuple(s != 0.0 for s, _ in groups))
+        column_scales = np.array([s for s, n in groups if s != 0.0 for _ in range(n)])
+        k = column_scales.size
+        block = self.block or max(1, min(REPORT_BLOCK, _REPORT_FLOATS // index.size))
+        scaled = np.zeros((block, k + 1))  # the last column serves zero scales
+        scaled[:, :k] = 0.0 + self.rng.standard_normal((block, k)) * column_scales
+        self._rounds = scaled[:, index]
+        self._rounds.flags.writeable = False
+        self._next = 1
+        return self._rounds[0]
+
+
+@lru_cache(maxsize=64)
+def _round_index(d: int, drawn: tuple[bool, ...]) -> np.ndarray:
+    """A round's (d + m, d) positions into its row of draws, for the groups
+    (matrix, then m vectors) that drawn marks as taking draws.  The matrix
+    reads the row-major triangle mirrored: entries (i, j) and (j, i) both read
+    the draw of cell (min(i, j), max(i, j)).  A group that takes no draws
+    reads the zero column after them."""
+    rows, cols = np.triu_indices(d)
+    sizes = (rows.size,) + (d,) * (len(drawn) - 1)
+    starts = np.cumsum((0,) + tuple(n for n, on in zip(sizes, drawn) if on))
+    index = np.full((d + len(drawn) - 1, d), starts[-1], dtype=np.intp)
+    start = iter(starts.tolist())
+    if drawn[0]:
+        index[rows, cols] = index[cols, rows] = next(start) + np.arange(rows.size)
+    for j, on in enumerate(drawn[1:]):
+        if on:
+            index[d + j] = next(start) + np.arange(d)
+    index.flags.writeable = False  # shared by every sampler of this layout
+    return index
+
+
 def perturb_vector(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """v + xi with xi ~ N(0, sigma^2 I) of v's shape; sigma = 0 returns v and
-    draws nothing."""
+    """v + xi with xi ~ N(0, sigma^2 I) of v's shape: one ReportNoise round
+    of d = 1 with no matrix and one vector per entry of v, in order.
+    sigma = 0 returns v and draws nothing."""
     if sigma == 0.0:
         return v
-    return v + rng.normal(0.0, sigma, size=v.shape)
-
-
-@lru_cache(maxsize=None)
-def _mirror_index(d: int) -> np.ndarray:
-    """(d, d) positions into the row-major upper triangle's draws: entries
-    (i, j) and (j, i) both read the draw of cell (min(i, j), max(i, j))."""
-    rows, cols = np.triu_indices(d)
-    index = np.empty((d, d), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return index
+    v = np.asarray(v, dtype=float)
+    return v + ReportNoise(rng, 1).round(1, 0.0, (sigma,) * v.size)[1:].reshape(v.shape)
 
 
 def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -168,13 +236,14 @@ def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) ->
 
     Entries (i, j) for i <= j are drawn independently, in row-major order;
     (j, i) is set to the same float, so the result is symmetric bit-for-bit.
-    sigma = 0 returns the zero matrix and draws nothing.
+    It is one ReportNoise round with no vectors.  sigma = 0 returns the zero
+    matrix and draws nothing.
     """
     if d < 1:
         raise CalibrationError(f"dimension must be >= 1, got {d}")
     if sigma == 0.0:
         return np.zeros((d, d))
-    return rng.normal(0.0, sigma, size=d * (d + 1) // 2)[_mirror_index(d)]
+    return ReportNoise(rng, 1).round(d, sigma, ()).copy()
 
 
 def derive_rng(base_seed: int, *labels) -> np.random.Generator:

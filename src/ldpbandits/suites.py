@@ -35,11 +35,10 @@ from .harness import (
 from .mechanisms import (
     DrawAhead,
     PrivacyParams,
+    ReportNoise,
     calibrate_gaussian,
     derive_rng,
     perturb_scalar,
-    perturb_vector,
-    symmetric_gaussian_matrix,
 )
 from .reductions import (
     MAB_LOSS_BOUND,
@@ -429,9 +428,15 @@ def criterion_11(n_jobs):
     mean_ok = abs(scalars.mean()) < 4.0 / math.sqrt(n)
     var_ok = abs(scalars.var() - 1.0) < 0.05
 
-    vec_rng = derive_rng(111_879, 1, "noise")
-    vec = np.vstack([perturb_vector(np.zeros(3), 2.0, vec_rng) for _ in range(n // 4)])
-    vec_ok = bool(np.all(np.abs(vec.var(axis=0) - 4.0) < 0.1))
+    # the contextual reports' rounds: the matrix entries at sigma, each vector
+    # at its own scale
+    sigma, scales = 3.0, (2.0, 0.5)
+    report_noise = ReportNoise(derive_rng(111_879, 1, "noise"))
+    rounds = np.empty((n // 4, 5, 3))
+    for i in range(n // 4):
+        rounds[i] = report_noise.round(3, sigma, scales)
+    group_var = [float(g.var()) for g in (rounds[:, 1, 2], rounds[:, 3], rounds[:, 4])]
+    group_ok = all(abs(v / s**2 - 1.0) < 0.025 for v, s in zip(group_var, (sigma, *scales)))
 
     # the two-point draw n . v with n ~ N(0, sigma^2 I): variance sigma^2 |v|^2
     v = [0.3, -0.4, 1.2]
@@ -442,21 +447,16 @@ def criterion_11(n_jobs):
     )
     dir_ok = abs(directed.var() / (1.5**2 * float(np.dot(v, v))) - 1.0) < 0.02
 
-    mat_rng = derive_rng(111_879, 2, "noise")
-    entries = np.fromiter(
-        (symmetric_gaussian_matrix(3, 3.0, mat_rng)[1, 2] for _ in range(100_000)),
-        dtype=float, count=100_000,
-    )
-    entry_ok = abs(entries.var() - 9.0) < 0.3
-
     sym_ok = True
     for d in (2, 8, 32, 128):
-        m = symmetric_gaussian_matrix(d, 1.0, derive_rng(111_879, 3, d))
-        sym_ok = sym_ok and np.array_equal(m, m.T)
-    return mean_ok and var_ok and vec_ok and dir_ok and entry_ok and sym_ok, {
+        matrix_noise = ReportNoise(derive_rng(111_879, 3, d))
+        for _ in range(4):  # across a block edge at d = 128
+            m = matrix_noise.round(d, 1.0, (1.0,))[:d]
+            sym_ok = sym_ok and np.array_equal(m, m.T)
+    return mean_ok and var_ok and group_ok and dir_ok and sym_ok, {
         "scalar_mean": f"{scalars.mean():.2e}", "scalar_var": round(float(scalars.var()), 4),
-        "vector_var_ok": vec_ok, "direction_var": round(float(directed.var()), 4),
-        "matrix_entry_var": round(float(entries.var()), 3),
+        "report_group_var": [round(v, 3) for v in group_var],
+        "direction_var": round(float(directed.var()), 4),
         "symmetry_exact": sym_ok,
     }
 

@@ -11,6 +11,7 @@ from ldpbandits import (
     ContractViolation,
     LdpConfidence,
     PrivacyParams,
+    ReportNoise,
     ServerState,
     derive_rng,
     glm_local_report,
@@ -199,20 +200,20 @@ class TestLogisticLink:
 class TestLocalReports:
     def test_linear_noiseless(self):
         x = np.array([0.6, 0.8])
-        report = linear_local_report(x, 1.5, 0.0, derive_rng(0, 0))
+        report = linear_local_report(x, 1.5, 0.0, ReportNoise(derive_rng(0, 0)))
         assert np.array_equal(report.gram, np.outer(x, x))
         assert np.array_equal(report.moment, 1.5 * x)
         assert report.gradient is None
 
     def test_linear_bounds(self):
-        rng = derive_rng(0, 0)
+        rng = ReportNoise(derive_rng(0, 0))
         with pytest.raises(ContractViolation):
             linear_local_report(np.array([1.2, 0.0]), 1.0, 1.0, rng)
         with pytest.raises(ContractViolation):
             linear_local_report(np.array([0.5, 0.0]), 2.5, 1.0, rng)
 
     def test_gram_symmetry(self):
-        rng = derive_rng(1, 0)
+        rng = ReportNoise(derive_rng(1, 0))
         for _ in range(200):
             report = linear_local_report(np.array([0.3, -0.4, 0.1]), 0.7, 1.0, rng)
             assert np.array_equal(report.gram, report.gram.T)
@@ -220,7 +221,7 @@ class TestLocalReports:
     def test_report_unbiased(self):
         x = np.array([0.6, -0.3])
         y = 0.8
-        rng = derive_rng(2, 0)
+        rng = ReportNoise(derive_rng(2, 0))
         n = 100_000
         gram_sum = np.zeros((2, 2))
         moment_sum = np.zeros(2)
@@ -234,7 +235,7 @@ class TestLocalReports:
     def test_glm_report(self):
         link = logistic_link()
         x = np.array([1.0, 0.0])
-        report = glm_local_report(x, 1.0, np.zeros(2), link, 0.0, derive_rng(0, 0))
+        report = glm_local_report(x, 1.0, np.zeros(2), link, 0.0, ReportNoise(derive_rng(0, 0)))
         assert np.array_equal(report.gram, np.outer(x, x))
         assert np.array_equal(report.moment, 0.0 * x)
         assert np.allclose(report.gradient, [-0.5, 0.0])
@@ -275,7 +276,7 @@ class FixedConfidence:
 class TestServerUpdates:
     def test_single_noiseless_observation(self):
         server = ServerState(2, FixedConfidence(1.0))
-        report = linear_local_report(np.array([1.0, 0.0]), 1.0, 0.0, derive_rng(0, 0))
+        report = linear_local_report(np.array([1.0, 0.0]), 1.0, 0.0, ReportNoise(derive_rng(0, 0)))
         linear_server_update(server, report)
         assert np.allclose(server.theta_tilde, [0.5, 0.0], atol=1e-12)
 
@@ -286,7 +287,7 @@ class TestServerUpdates:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         reports = []
-        noise_rng = derive_rng(3, 0)
+        noise_rng = ReportNoise(derive_rng(3, 0))
         for _ in range(10):
             x = rng.normal(0, 0.4, 3)
             x /= max(np.linalg.norm(x), 1.0)
@@ -305,7 +306,7 @@ class TestServerUpdates:
         link = logistic_link()
         server = ServerState(2, FixedConfidence(1.0))
         report = glm_local_report(np.array([1.0, 0.0]), 1.0, server.theta_hat, link, 0.0,
-                                  derive_rng(0, 0))
+                                  ReportNoise(derive_rng(0, 0)))
         zeta = 0.2
         glm_server_update(server, report, zeta)
         assert np.allclose(server.theta_hat, [0.5 * zeta, 0.0], atol=1e-12)
@@ -320,7 +321,7 @@ class TestServerUpdates:
     def test_theta_hat_stays_in_ball(self):
         link = logistic_link()
         server = ServerState(3, FixedConfidence(1.0))
-        rng = derive_rng(7, 0)
+        rng = ReportNoise(derive_rng(7, 0))
         data_rng = np.random.default_rng(8)
         for _ in range(500):
             x = data_rng.normal(0, 1, 3)
@@ -338,7 +339,8 @@ class TestServerUpdates:
         server = ServerState(2, FixedConfidence(1.0))
         server.theta_hat = np.array([0.5, 0.0])
         x = np.array([0.8, 0.0])
-        report = glm_local_report(x, 1.0, server.theta_hat, link, 0.0, derive_rng(0, 0))
+        report = glm_local_report(x, 1.0, server.theta_hat, link, 0.0,
+                                  ReportNoise(derive_rng(0, 0)))
         assert np.allclose(report.moment, (0.8 * 0.5) * x)
         glm_server_update(server, report, 0.5)
         assert not np.allclose(server.theta_hat, [0.5, 0.0])
@@ -351,7 +353,7 @@ class TestServerUpdates:
 
     def test_vbar_symmetric_along_run(self):
         server = ServerState(3, FixedConfidence(1.0))
-        rng = derive_rng(9, 0)
+        rng = ReportNoise(derive_rng(9, 0))
         for _ in range(50):
             report = linear_local_report(np.array([0.5, 0.1, -0.2]), 0.3, 1.5, rng)
             linear_server_update(server, report)

@@ -1,5 +1,7 @@
 """Environment bounds, ground-truth comparators, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,29 @@ class TestContextualEnv:
                 rnd = env.step(t)
                 regrets = [env.instant_regret(rnd, arm) for arm in range(k)]
                 assert min(regrets) == 0.0, (theta_star, t, regrets)
+
+    def test_glm_link_applied_once_to_the_paid_arm(self):
+        # reward's mean of the paid arm is reused by instant_regret for the
+        # same round and arm; any other round or arm is computed afresh
+        link = logistic_link()
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return link.g(a)
+
+        env = world([0.6, -0.48, 0.64], 5, 11, link=replace(link, g=counted))
+        plain = world([0.6, -0.48, 0.64], 5, 11, link=link)
+        for t in range(1, 300):
+            rnd, ref = env.step(t), plain.step(t)
+            arm = t % 5
+            assert env.reward(arm) == plain.reward(arm)
+            del calls[:]
+            assert env.instant_regret(rnd, arm) == plain.instant_regret(ref, arm)
+            assert calls == [rnd.best_score]
+            other = (arm + 1) % 5
+            assert env.instant_regret(rnd, other) == plain.instant_regret(ref, other)
+            assert sorted(calls[1:]) == sorted([rnd.best_score, rnd.scores[other]])
 
     def test_arm_norms_bounded(self):
         env = world([1.0, 0.0, 0.0], 10, 4)

@@ -322,10 +322,11 @@ def test_multi_block_digest(name, tmp_path):
     assert emitted_digest(_multi_block_doc(name), tmp_path) == MULTI_BLOCK_GOLDEN[name]
 
 
-# No block drawn ahead changes a bit, neither a DrawAhead stream's nor the
+# No block drawn ahead changes a bit, neither a DrawAhead stream's, nor the
 # contextual environment's block of arm sets (its rewards come from a
-# stream of their own): the BCO, MAB, BAI and contextual digests and the
-# multi-block ones at block sizes 1 and 7 are the golden ones.
+# stream of their own), nor a ReportNoise block of report noise: the BCO,
+# MAB, BAI and contextual digests and the multi-block ones at block sizes 1
+# and 7 are the golden ones.
 BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
                  "criterion_4_mab_stochastic", "criterion_4_mab_switching",
                  "criterion_5_bai_ldp"] + sorted(
@@ -335,6 +336,7 @@ BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
 @pytest.mark.parametrize("block", [1, 7])
 def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
     monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
+    monkeypatch.setattr(mechanisms, "REPORT_BLOCK", block)
     monkeypatch.setattr(environments, "BLOCK_ROUNDS", block)
     for name in BLOCK_CHECKED:
         assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name], name

@@ -19,6 +19,7 @@ from ldpbandits import (
     LilUcb,
     LilUcbParams,
     NumericalError,
+    ReportNoise,
     TsallisInf,
     derive_rng,
     symmetric_gaussian_matrix,
@@ -299,10 +300,10 @@ def test_local_report_grams_match_outer(d, sigma, seed):
     theta_hat = unit_ball_point(d, seed + 1)
     ref = derive_rng(seed, "reference")
     noise = reference_symmetric(d, sigma, ref) if sigma > 0 else np.zeros((d, d))
-    linear = linear_local_report(x, 0.5, sigma, derive_rng(seed, "reference"))
+    linear = linear_local_report(x, 0.5, sigma, ReportNoise(derive_rng(seed, "reference")))
     assert bits(linear.gram) == bits(np.outer(x, x) + noise)
     glm = glm_local_report(x, 1.0, theta_hat, logistic_link(), sigma,
-                           derive_rng(seed, "reference"))
+                           ReportNoise(derive_rng(seed, "reference")))
     assert bits(glm.gram) == bits(np.outer(x, x) + noise)
 
 
@@ -468,6 +469,9 @@ def gram_cases(d: int, rng):
         nan = sym.copy()
         nan[a, b] = nan[b, a] = np.nan
         yield nan
+    one_nan = sym.copy()  # off the diagonal (d > 1), not mirrored
+    one_nan[i, j] = np.nan
+    yield one_nan
     yield rng.standard_normal((d, d + 1))
     yield sym[0]
     yield np.array(1.0)
@@ -532,7 +536,8 @@ def test_glm_report_matches_matmul_reference(d, sigma, y, seed):
     x = unit_ball_point(d, seed)
     theta_hat = unit_ball_point(d, seed + 1)
     link = logistic_link()
-    report = glm_local_report(x, y, theta_hat, link, sigma, derive_rng(seed, "report"))
+    report = glm_local_report(x, y, theta_hat, link, sigma,
+                              ReportNoise(derive_rng(seed, "report")))
     ref = derive_rng(seed, "report")
     noise = reference_symmetric(d, sigma, ref) if sigma > 0 else np.zeros((d, d))
     z = float(x @ theta_hat)

@@ -18,6 +18,7 @@ from ldpbandits import (
     LdpMabLearner,
     OnePointConfig,
     PrivacyParams,
+    ReportNoise,
     TwoPointConfig,
     calibrate_gaussian,
     derive_rng,
@@ -231,6 +232,78 @@ class TestSymmetricMatrix:
         assert m[3, 4] == m[4, 3]
 
 
+def per_call_round(twin, d, sigma, scales):
+    """One round of report noise drawn per call, as the reports drew it before
+    the block sampler: the mirrored triangle, then each vector, each group by
+    one Generator.normal call and none at scale 0."""
+    triangle = np.zeros((d, d))
+    if sigma:
+        rows, cols = np.triu_indices(d)
+        triangle[rows, cols] = triangle[cols, rows] = twin.normal(0.0, sigma, size=rows.size)
+    vectors = [twin.normal(0.0, s, size=d) if s else np.zeros(d) for s in scales]
+    return np.vstack([triangle, *vectors])
+
+
+class TestReportNoise:
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("d, sigma, scales", [
+        (3, 1.7, (1.7, 0.4)), (2, 0.9, (0.9,)), (1, 2.5, (2.5, 2.5)), (3, 1.1, (0.0,)),
+    ])
+    def test_rounds_are_per_call_draws_across_block_edges(self, block, d, sigma, scales):
+        rng, twin = derive_rng(41, d, "noise"), derive_rng(41, d, "noise")
+        noise = ReportNoise(rng, block)
+        n = 2 * mechanisms.REPORT_BLOCK + 5
+        for _ in range(n):
+            assert noise.round(d, sigma, scales).tobytes() == per_call_round(
+                twin, d, sigma, scales).tobytes()
+        size = block or mechanisms.REPORT_BLOCK
+        for _ in range(-n % size):  # the rest of the last block
+            per_call_round(twin, d, sigma, scales)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_scales_draw_nothing(self):
+        rng = derive_rng(42, 0)
+        state = rng.bit_generator.state
+        noise = ReportNoise(rng)
+        assert rng.bit_generator.state == state  # nothing before the first request
+        round_ = noise.round(3, 0.0, (0.0, 0.0))
+        assert round_.shape == (5, 3) and not round_.any()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("report", ["linear", "glm"])
+    def test_reports_at_zero_sigma_draw_nothing(self, report):
+        rng = derive_rng(43, 0)
+        state = rng.bit_generator.state
+        if report == "linear":
+            linear_local_report(X, 0.7, 0.0, ReportNoise(rng))
+        else:
+            glm_local_report(X, 1.0, THETA_HAT, logistic_link(), 0.0, ReportNoise(rng))
+        assert rng.bit_generator.state == state
+
+    def test_one_layout_per_sampler(self):
+        noise = ReportNoise(derive_rng(44, 0))
+        noise.round(3, 1.0, (1.0,))
+        noise.round(3, 1.0, (1.0,))
+        with pytest.raises(ContractViolation):
+            noise.round(3, 1.0, (1.0, 2.0))
+
+    def test_rounds_are_read_only(self):
+        round_ = ReportNoise(derive_rng(45, 0)).round(2, 1.0, (1.0,))
+        with pytest.raises(ValueError):
+            round_[0, 0] = 0.0
+
+    def test_large_rounds_take_smaller_blocks(self):
+        d = 64
+        rng, twin = derive_rng(46, d), derive_rng(46, d)
+        ReportNoise(rng).round(d, 1.0, (1.0,))
+        rounds = 0
+        while twin.bit_generator.state != rng.bit_generator.state:
+            per_call_round(twin, d, 1.0, (1.0,))
+            rounds += 1
+            assert rounds <= mechanisms.REPORT_BLOCK
+        assert 1 <= rounds and rounds * (d + 1) * d <= mechanisms._REPORT_FLOATS
+
+
 class TestStreams:
     def test_identical_labels_identical_stream(self):
         a = derive_rng(99, 4, "noise").standard_normal(8)
@@ -346,8 +419,10 @@ class FedRecorder:
 
 # Each path runs one report on rng and returns what reached the learner or
 # server, the clean values, and a function that rebuilds the report from the
-# clean values and the family's draws on a twin stream, in the report's order.
-# The scalar reports take rng through a DrawAhead, the contextual ones as is.
+# clean values and per-call draws on a twin stream, in the report's order.
+# The scalar reports take rng through a DrawAhead.  The contextual ones take it
+# through a one-round ReportNoise, so that rng ends where the twin's per-call
+# Generator.normal draws end; other block sizes are checked in TestReportNoise.
 
 
 def one_point_path(privacy, rng):
@@ -392,26 +467,27 @@ X = np.array([0.3, -0.5, 0.4])
 THETA_HAT = np.array([-0.2, 0.1, 0.6])
 
 
+def plus_per_call_noise(clean, twin, sigma, *scales):
+    """A d = 3 report's clean (gram, vector, ...) plus per_call_round's noise."""
+    noise = per_call_round(twin, 3, sigma, scales)
+    return (clean[0] + noise[:3], *(c + n for c, n in zip(clean[1:], noise[3:])))
+
+
 def linear_path(privacy, rng):
     sigma = linear_sigma(privacy)
-    report = linear_local_report(X, 0.7, sigma, rng)
+    report = linear_local_report(X, 0.7, sigma, ReportNoise(rng, 1))
     clean = (np.outer(X, X), 0.7 * X)
-    return (report.gram, report.moment), clean, lambda twin: (
-        clean[0] + symmetric_gaussian_matrix(3, sigma, twin),
-        perturb_vector(clean[1], sigma, twin),
-    )
+    return (report.gram, report.moment), clean, lambda twin: plus_per_call_noise(
+        clean, twin, sigma, sigma)
 
 
 def glm_path(privacy, rng):
     sigma, link = glm_sigma(privacy), logistic_link()
-    report = glm_local_report(X, 1.0, THETA_HAT, link, sigma, rng)
+    report = glm_local_report(X, 1.0, THETA_HAT, link, sigma, ReportNoise(rng, 1))
     z = float(X @ THETA_HAT)
     clean = (np.outer(X, X), z * X, (link.g(z) - 1.0) * X)
-    return (report.gram, report.moment, report.gradient), clean, lambda twin: (
-        clean[0] + symmetric_gaussian_matrix(3, sigma, twin),
-        perturb_vector(clean[1], sigma, twin),
-        perturb_vector(clean[2], link.value_bound * sigma, twin),
-    )
+    return (report.gram, report.moment, report.gradient), clean, lambda twin: plus_per_call_noise(
+        clean, twin, sigma, sigma, link.value_bound * sigma)
 
 
 REPORT_PATHS = {
