@@ -62,7 +62,6 @@ from .mechanisms import (
     calibrate_gaussian,
     derive_rng,
     perturb_scalar,
-    perturb_vector,
     symmetric_gaussian_matrix,
 )
 from .reductions import (

@@ -6,10 +6,12 @@ LDPBANDITS_OUTPUT_DIR environment variable.
 
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
 from . import harness, suites
+from .errors import LdpBanditsError
 from .harness import ExperimentConfig, emit, fit_slope, output_dir, parse_trace_csv
 
 
@@ -18,12 +20,22 @@ def main():
     """Locally private bandit experiments."""
 
 
+@contextmanager
+def _reported():
+    """A library error becomes a one-line message and exit status 1."""
+    try:
+        yield
+    except LdpBanditsError as exc:
+        raise click.ClickException(str(exc))
+
+
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", default=None, help="Output directory (default: cwd or "
               f"${harness.OUTPUT_DIR_ENV}).")
 @click.option("--jobs", "-j", default=None, type=int, help="Parallel replications.")
 @click.option("--prefix", default="trace", help="Output file stem.")
+@_reported()
 def run(config_path, output, jobs, prefix):
     """Run the experiment described by a JSON config; writes CSV + JSON."""
     with open(config_path) as fh:
@@ -48,6 +60,7 @@ def run(config_path, output, jobs, prefix):
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--last", default=10, show_default=True, help="Checkpoints in the fit window.")
 @click.option("--output", "-o", default=None, help="Optional path for the fit (json).")
+@_reported()
 def slope(trace_path, last, output):
     """Fit the log-log regret exponent of an emitted trace CSV."""
     with open(trace_path) as fh:

@@ -48,14 +48,6 @@ from .mechanisms import PrivacyParams, ReportNoise
 from .mechanisms import symmetric_gaussian_matrix  # noqa: F401
 
 EIG_FLOOR = 1e-8
-# Below this dimension the report's symmetry check compares Python float lists
-# and the server's Gershgorin screen loops over Python floats, which beats
-# NumPy's per-call cost; from it on they use NumPy. Below 8 terms NumPy's
-# pairwise row sum is a plain left-to-right loop, so the Python screen keeps
-# NumPy's bits.
-_SMALL_D = 8
-# Below this many arms, max and min over a Python list beat NumPy's reductions.
-_SMALL_K = 32
 
 
 def _norm(v: np.ndarray) -> float:
@@ -227,17 +219,10 @@ class LocalReport:
     gradient: np.ndarray | None = None
 
     def __post_init__(self):
-        if not _symmetric(self.gram):
+        # np.array_equal(gram, gram.T) at any shape, in Python floats: a NaN
+        # anywhere (the diagonal included) fails it, and 0.0 equals -0.0
+        if self.gram.tolist() != self.gram.T.tolist():
             raise ContractViolation("report gram matrix must be symmetric")
-
-
-def _symmetric(gram: np.ndarray) -> bool:
-    """np.array_equal(gram, gram.T); below _SMALL_D, by comparing the two as
-    nested lists of Python floats, so a NaN anywhere (the diagonal included)
-    makes it False."""
-    if gram.ndim != 2 or gram.shape[0] >= _SMALL_D:
-        return np.array_equal(gram, gram.T)
-    return gram.tolist() == gram.T.tolist()
 
 
 def _report(x: np.ndarray, coefficients: list, sigma: float, scales: tuple,
@@ -318,13 +303,8 @@ class ServerState:
         return m
 
     def _gershgorin_below_floor(self, m: np.ndarray) -> bool:
-        """min_i m_ii - sum_{j != i} |m_ij| < EIG_FLOOR, with NumPy's row
-        sums: in Python floats left to right below _SMALL_D, and in NumPy
-        from it on."""
-        if self.d >= _SMALL_D:
-            diag = m.diagonal()
-            gershgorin = diag - (np.abs(m).sum(axis=1) - np.abs(diag))
-            return float(gershgorin.min()) < EIG_FLOOR
+        """min_i m_ii - sum_{j != i} |m_ij| < EIG_FLOOR, each row sum of
+        |m_ij| taken in Python floats, left to right."""
         for i, row in enumerate(m.tolist()):
             total = 0.0
             for v in row:
@@ -374,17 +354,16 @@ def _optimistic_argmax(theta: np.ndarray, reg: np.ndarray, beta: float,
                        arms: np.ndarray) -> int:
     """argmax of <theta, x> + beta * |x|_{reg^{-1}}; ties go to the lowest index."""
     arms = np.asarray(arms, dtype=float)
-    small = len(arms) < _SMALL_K
     # c_einsum is what np.einsum calls without optimize, minus its dispatch
     norms = c_einsum("kd,kd->k", arms, arms)
-    if (max(norms.tolist()) if small else float(norms.max())) > 1.0 + 3e-9:
+    if max(norms.tolist()) > 1.0 + 3e-9:
         raise ContractViolation("arm norms must be <= 1")
     try:
         solved = _solve(reg, arms.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularized matrix not invertible: {exc}")
     quad = c_einsum("kd,dk->k", arms, solved)
-    lowest = min(quad.tolist()) if small else float(quad.min())
+    lowest = min(quad.tolist())
     if lowest < -1e-10:
         raise NumericalError("regularized matrix lost positive definiteness")
     if lowest < 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blackbox import DecisionSet, _dot, _norm, project
 from .errors import ConfigurationError, ContractViolation
-from .mechanisms import DrawAhead
+from .mechanisms import DrawAhead, _block_rounds
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +195,6 @@ def _drift_table(seed: int, horizon: int, dim: int, drift_norm: float) -> np.nda
 # contextual worlds
 
 
-# Rounds a ContextualEnv draws ahead.  At K = 10, d = 3 a block keeps about
-# 170 KB (60 KB of arm sets, the rest its scores as Python floats), and
-# placing it peaks at about 430 KB (tracemalloc) while its normals are live.
-BLOCK_ROUNDS = 256
-
-
 @dataclass(slots=True)
 class ContextualRound:
     arms: np.ndarray
@@ -220,14 +214,16 @@ class ContextualEnv:
     normals from rng, in round and arm order, and is the first d of them over
     the norm of all d + 2: a point uniform in the d-ball (Voelker, Gosmann and
     Stewart 2017).  A reward takes the next uniform of rewards.  No arm draw
-    depends on the learner, so step places BLOCK_ROUNDS arm sets at once, and
-    the block size changes no bit.  Norms and scores x . theta_star are
-    summed column by column, left to right, and the best score is a row max,
-    so every arm and score comes from correctly rounded elementwise steps and
-    does not depend on the host's SIMD loops or BLAS kernel.  A round's scores
-    are computed once; reward and instant_regret read them, and only there
-    does a GLM apply its link, once to the paid arm's score: instant_regret
-    reuses the mean that reward paid out for the same round and arm.
+    depends on the learner, so step places a block of arm sets at once
+    (mechanisms._block_rounds of K (d + 2) normals: 256 rounds, about 170 KB,
+    at K = 10, d = 3), and the block size changes no bit.  Norms and scores
+    x . theta_star are summed column by column, left to right, and the best
+    score is a row max, so every arm and score comes from correctly rounded
+    elementwise steps and does not depend on the host's SIMD loops or BLAS
+    kernel.  A round's scores are computed once; reward and instant_regret
+    read them, and only there does a GLM apply its link, once to the paid
+    arm's score: instant_regret reuses the mean that reward paid out for the
+    same round and arm.
     """
 
     def __init__(self, theta_star, n_arms: int, rng: np.random.Generator,
@@ -255,7 +251,7 @@ class ContextualEnv:
 
     def _draw_block(self):
         d, theta = self.d, self.theta_star.tolist()
-        g = self.rng.standard_normal((BLOCK_ROUNDS, self.k, d + 2))
+        g = self.rng.standard_normal((_block_rounds(self.k * (d + 2)), self.k, d + 2))
         square = g * g
         norm_squared = square[..., 0]
         for j in range(1, d + 2):

@@ -48,15 +48,6 @@ from .reductions import (
     two_point_round,
 )
 
-ALGORITHMS = (
-    "two_point_bco",
-    "one_point_bco",
-    "mab",
-    "bai",
-    "contextual_linear",
-    "contextual_glm",
-)
-
 OUTPUT_DIR_ENV = "LDPBANDITS_OUTPUT_DIR"
 
 
@@ -108,9 +99,9 @@ class ExperimentConfig:
     checkpoints: int = 20
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _ALGORITHMS:  # the setups, defined below
             raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(_ALGORITHMS)}"
             )
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
@@ -213,7 +204,8 @@ class SlopeFit:
 # The context-free streams are DrawAheads (_stream), and so is the contextual
 # environment's reward stream.  Its environment stream is a plain Generator
 # (_generator) that draws its own blocks of arm normals, and its noise stream
-# a ReportNoise (_stream) that draws blocks of report noise.
+# a ReportNoise (_stream) that draws blocks of report noise; every block is
+# sized by the one rule in mechanisms (DRAW_AHEAD, _block_rounds).
 # Steps look library calls up at call time (module globals such as
 # derive_rng and two_point_round, ctx.* attributes), so a caller that swaps
 # them for timing wrappers sees every call.
@@ -707,14 +699,18 @@ def _fit_json(fit: SlopeFit) -> str:
 
 def parse_trace_csv(text: str):
     """Read back an emitted trace CSV: (checkpoints, mean, std, n_replications)."""
-    lines = [line for line in text.strip().splitlines() if line]
-    if lines[0] != CSV_HEADER:
-        raise ConfigurationError(f"unexpected CSV header {lines[0]!r}")
+    rows = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    number, header = rows[0] if rows else (1, "")
+    if header != CSV_HEADER:
+        raise ConfigurationError(f"line {number}: {header!r} is not the header {CSV_HEADER!r}")
     cps, means, stds, n = [], [], [], None
-    for line in lines[1:]:
-        c, m, s, k = line.split(",")
-        cps.append(int(c))
-        means.append(float(m))
-        stds.append(float(s))
-        n = int(k)
+    for number, line in rows[1:]:
+        try:
+            c, m, s, k = line.split(",")
+            cps.append(int(c))
+            means.append(float(m))
+            stds.append(float(s))
+            n = int(k)
+        except ValueError:
+            raise ConfigurationError(f"line {number}: {line!r} is not a row of the CSV") from None
     return np.asarray(cps), np.asarray(means), np.asarray(stds), n

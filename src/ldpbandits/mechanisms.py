@@ -5,16 +5,18 @@ Calibration is the Gaussian mechanism,
 sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.  The samplers are the
 only code that draws report noise: perturb_scalar (optionally along a
 direction, for the two-point report n . (x1 - x2)) for the scalar reports and
-ReportNoise for the contextual ones, with perturb_vector and
-symmetric_gaussian_matrix as its one-round forms.  Each draws nothing at
-sigma = 0, so a zero-noise run consumes the same stream as a non-private one
-and its reports carry the clean values.  Both draw a block ahead in the
-Generator's own order and scale a draw as Generator.normal(0, sigma) scales
-it, 0.0 + sigma * z, so a sample is the same float a per-call draw would
-give.  perturb_scalar takes a DrawAhead stream: a derive_rng Generator's
-uniforms or standard normals as Python floats.  ReportNoise keeps its block
-as one array and hands out a round of a report's matrix and vector noise as
-a view of it, so a round makes no Generator call and builds no array.
+ReportNoise for the contextual ones, with symmetric_gaussian_matrix as its
+one-round matrix form.  Each draws nothing at sigma = 0, so a zero-noise run
+consumes the same stream as a non-private one and its reports carry the clean
+values.  Both draw a block ahead in the Generator's own order and scale a
+draw as Generator.normal(0, sigma) scales it, 0.0 + sigma * z, so a sample is
+the same float a per-call draw would give.  perturb_scalar takes a DrawAhead
+stream: a derive_rng Generator's uniforms or standard normals as Python
+floats.  ReportNoise keeps its block as one array and hands out a round of a
+report's matrix and vector noise as a view of it, so a round makes no
+Generator call and builds no array.  One rule sizes every block: DRAW_AHEAD
+draws, or _block_rounds rounds (ReportNoise's and the contextual
+environment's), and any block size gives the same floats in the same order.
 
 Note on the Gaussian calibration: the closed form is the standard one and its
 analysis assumes epsilon is not large (the usual caveat is epsilon <= 1).  The
@@ -62,9 +64,13 @@ def calibrate_gaussian(privacy: PrivacyParams, sensitivity: float) -> float:
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / privacy.delta)) / privacy.epsilon
 
 
-# Draws a DrawAhead stream takes from its Generator at a time.  Any block size
-# gives the same floats in the same order.
 DRAW_AHEAD = 256
+_BLOCK_FLOATS = 1 << 16
+
+
+def _block_rounds(floats_per_round: int) -> int:
+    """Rounds a block holds: at most DRAW_AHEAD and _BLOCK_FLOATS floats."""
+    return max(1, min(DRAW_AHEAD, _BLOCK_FLOATS // floats_per_round))
 
 
 class DrawAhead:
@@ -147,13 +153,6 @@ def perturb_scalar(value: float, sigma: float, stream: DrawAhead,
     return value + total
 
 
-# Rounds a ReportNoise draws at a time, fewer where a round is large (at
-# most _REPORT_FLOATS floats a block).  Any block size gives the same floats
-# in the same order.
-REPORT_BLOCK = 256
-_REPORT_FLOATS = 1 << 16
-
-
 class ReportNoise:
     """A contextual report's Gaussian noise, round by round, from a block of
     rounds drawn ahead.
@@ -164,16 +163,16 @@ class ReportNoise:
     d(d+1)/2 + m d standard normals from rng in that order, the triangle
     row-major first, as one Generator.normal call per group would, and a
     group whose scale is 0 draws nothing and reads 0.0.  One standard_normal
-    call draws a block of rounds, scaled once and mirrored once; a round is a
-    read-only view of it.  A sampler serves one (d, sigma, scales) layout:
-    asking for another raises.  Nothing is drawn before the first request.
+    call draws a block of _block_rounds rounds, scaled once and mirrored
+    once; a round is a read-only view of it.  A sampler serves one
+    (d, sigma, scales) layout: asking for another raises.  Nothing is drawn
+    before the first request.
     """
 
-    __slots__ = ("rng", "block", "_layout", "_rounds", "_next")
+    __slots__ = ("rng", "_layout", "_rounds", "_next")
 
-    def __init__(self, rng: np.random.Generator, block: int | None = None):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.block = block  # rounds a block holds; None: REPORT_BLOCK at refill
         self._layout = None
         self._rounds = ()
         self._next = 0
@@ -187,17 +186,24 @@ class ReportNoise:
         if self._layout is not None and layout != self._layout:
             raise ContractViolation(f"a sampler of {self._layout} rounds cannot serve {layout}")
         self._layout = layout
-        groups = ((sigma, d * (d + 1) // 2),) + tuple((s, d) for s in scales)
-        index = _round_index(d, tuple(s != 0.0 for s, _ in groups))
-        column_scales = np.array([s for s, n in groups if s != 0.0 for _ in range(n)])
-        k = column_scales.size
-        block = self.block or max(1, min(REPORT_BLOCK, _REPORT_FLOATS // index.size))
-        scaled = np.zeros((block, k + 1))  # the last column serves zero scales
-        scaled[:, :k] = 0.0 + self.rng.standard_normal((block, k)) * column_scales
-        self._rounds = scaled[:, index]
-        self._rounds.flags.writeable = False
+        rounds = _block_rounds((d + len(scales)) * d)  # the floats a round reads
+        self._rounds = _noise_rounds(self.rng, d, sigma, scales, rounds)
         self._next = 1
         return self._rounds[0]
+
+
+def _noise_rounds(rng: np.random.Generator, d: int, sigma: float,
+                  scales: tuple[float, ...], rounds: int) -> np.ndarray:
+    """A read-only (rounds, d + m, d) block of rounds, one standard_normal call."""
+    groups = ((sigma, d * (d + 1) // 2),) + tuple((s, d) for s in scales)
+    index = _round_index(d, tuple(s != 0.0 for s, _ in groups))
+    column_scales = np.array([s for s, n in groups if s != 0.0 for _ in range(n)])
+    k = column_scales.size
+    scaled = np.zeros((rounds, k + 1))  # the last column serves zero scales
+    scaled[:, :k] = 0.0 + rng.standard_normal((rounds, k)) * column_scales
+    block = scaled[:, index]
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=64)
@@ -221,16 +227,6 @@ def _round_index(d: int, drawn: tuple[bool, ...]) -> np.ndarray:
     return index
 
 
-def perturb_vector(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """v + xi with xi ~ N(0, sigma^2 I) of v's shape: one ReportNoise round
-    of d = 1 with no matrix and one vector per entry of v, in order.
-    sigma = 0 returns v and draws nothing."""
-    if sigma == 0.0:
-        return v
-    v = np.asarray(v, dtype=float)
-    return v + ReportNoise(rng, 1).round(1, 0.0, (sigma,) * v.size)[1:].reshape(v.shape)
-
-
 def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """A d x d matrix with i.i.d. N(0, sigma^2) upper triangle mirrored exactly.
 
@@ -241,9 +237,7 @@ def symmetric_gaussian_matrix(d: int, sigma: float, rng: np.random.Generator) ->
     """
     if d < 1:
         raise CalibrationError(f"dimension must be >= 1, got {d}")
-    if sigma == 0.0:
-        return np.zeros((d, d))
-    return ReportNoise(rng, 1).round(d, sigma, ()).copy()
+    return _noise_rounds(rng, d, sigma, (), 1)[0].copy()
 
 
 def derive_rng(base_seed: int, *labels) -> np.random.Generator:

@@ -81,8 +81,23 @@ def test_invalid_config_rejected(tmp_path, runner):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(dict(config_doc(), surprise=1)))
     result = runner.invoke(main, ["run", str(config_path), "-o", str(tmp_path)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, Exception)
+    assert result.exit_code == 1
+    assert "Error: " in result.output and "surprise" in result.output
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("", "line 1: '' is not the header"),
+    ("checkpoint,mean_regret,std_regret,n_replications\n10,1.5,0.1,2\n20,2.5\n",
+     "line 3: '20,2.5'"),
+], ids=["empty", "short_row"])
+def test_slope_names_a_bad_csv(tmp_path, runner, text, shown):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(text)
+    result = runner.invoke(main, ["slope", str(trace_path)])
+    assert result.exit_code == 1
+    assert shown in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_suite_runs_fast_criteria(runner):

@@ -43,13 +43,11 @@ from ldpbandits import (
     ExperimentConfig,
     derive_rng,
     emit,
-    environments,
     logistic_link,
     mechanisms,
     run_bai,
     run_experiment,
 )
-from ldpbandits.environments import BLOCK_ROUNDS
 from ldpbandits.harness import run_replication
 from ldpbandits.suites import INSTANCES
 
@@ -154,7 +152,7 @@ def test_affine_digest(tmp_path):
 # little-endian 8-byte floats.
 
 ENVIRONMENT_SEED = 17
-ENVIRONMENT_ROUNDS = 4 * BLOCK_ROUNDS
+ENVIRONMENT_ROUNDS = 4 * mechanisms.DRAW_AHEAD
 ENVIRONMENT_WORLDS = {  # theta*, K, logistic link
     "glm_d3_k10": ([0.6, -0.48, 0.64], 10, True),
     "glm_d5_k7": ([-0.2, 0.1, 0.5, -0.3, 0.25], 7, True),
@@ -314,7 +312,7 @@ def _multi_block_doc(name: str) -> dict:
 
 
 def test_multi_block_horizon_crosses_three_boundaries():
-    assert MULTI_BLOCK_HORIZON >= 3 * BLOCK_ROUNDS + 1
+    assert MULTI_BLOCK_HORIZON >= 3 * mechanisms.DRAW_AHEAD + 1
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_BLOCK_GOLDEN))
@@ -324,9 +322,9 @@ def test_multi_block_digest(name, tmp_path):
 
 # No block drawn ahead changes a bit, neither a DrawAhead stream's, nor the
 # contextual environment's block of arm sets (its rewards come from a
-# stream of their own), nor a ReportNoise block of report noise: the BCO,
-# MAB, BAI and contextual digests and the multi-block ones at block sizes 1
-# and 7 are the golden ones.
+# stream of their own), nor a ReportNoise block of report noise.  DRAW_AHEAD
+# sizes all three: at 1 and 7 the BCO, MAB, BAI and contextual digests and
+# the multi-block ones are the golden ones.
 BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
                  "criterion_4_mab_stochastic", "criterion_4_mab_switching",
                  "criterion_5_bai_ldp"] + sorted(
@@ -336,8 +334,6 @@ BLOCK_CHECKED = ["criterion_1_two_point", "criterion_3_one_point",
 @pytest.mark.parametrize("block", [1, 7])
 def test_digests_at_any_draw_ahead_block(block, tmp_path, monkeypatch):
     monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
-    monkeypatch.setattr(mechanisms, "REPORT_BLOCK", block)
-    monkeypatch.setattr(environments, "BLOCK_ROUNDS", block)
     for name in BLOCK_CHECKED:
         assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name], name
     for name in sorted(MULTI_BLOCK_GOLDEN):

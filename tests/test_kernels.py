@@ -24,7 +24,7 @@ from ldpbandits import (
     derive_rng,
     symmetric_gaussian_matrix,
 )
-from ldpbandits import blackbox
+from ldpbandits import blackbox, mechanisms
 from ldpbandits.blackbox import _tsallis_newton, _tsallis_unnormalized
 from ldpbandits.contextual import (
     EIG_FLOOR,
@@ -39,7 +39,7 @@ from ldpbandits.contextual import (
     linear_local_report,
     logistic_link,
 )
-from ldpbandits.environments import BLOCK_ROUNDS, ContextualRound
+from ldpbandits.environments import ContextualRound
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -320,9 +320,19 @@ def reference_solve(a, b):
         raise np.linalg.LinAlgError("Singular matrix") from None
 
 
+def absolute_row_sums(m) -> np.ndarray:
+    """Each row's sum of |m_ij|, column by column, left to right (NumPy's
+    sum(axis=1) is pairwise from 8 terms)."""
+    absolute = np.abs(m)
+    sums = absolute[:, 0]
+    for j in range(1, m.shape[1]):
+        sums = sums + absolute[:, j]
+    return sums
+
+
 def reference_screen(m) -> bool:
     diag = m.diagonal()
-    gershgorin = diag - (np.abs(m).sum(axis=1) - np.abs(diag))
+    gershgorin = diag - (absolute_row_sums(m) - np.abs(diag))
     return float(gershgorin.min()) < EIG_FLOOR
 
 
@@ -374,7 +384,7 @@ def noisy_gram_sum(d: int, rounds: int, sigma: float, rng) -> np.ndarray:
 @given(st.integers(1, 10), st.integers(0, 40), st.floats(0.0, 50.0),
        st.floats(0.0, 100.0), st.integers(0, 2**32 - 1))
 def test_regularize_matches_numpy_screen(d, rounds, sigma, c, seed):
-    # d from 8 on takes the NumPy screen, whose row sums are pairwise there
+    # from d = 8 on, a pairwise row sum would differ from the left-to-right one
     vbar = noisy_gram_sum(d, rounds, sigma, np.random.default_rng(seed))
     server = ServerState(d, BaselineConfidence(d, 100, 0.1))
     server.vbar = vbar
@@ -390,8 +400,8 @@ def test_screen_decides_as_numpy_at_its_edge(d, rounds, sigma, ulps, seed):
     # c puts the lowest Gershgorin bound within a few ulps of the floor, where
     # a row sum in another order would flip the decision
     vbar = noisy_gram_sum(d, rounds, sigma, np.random.default_rng(seed))
-    absolute = np.abs(vbar)
-    bound = float((vbar.diagonal() - (absolute.sum(axis=1) - absolute.diagonal())).min())
+    diag = vbar.diagonal()
+    bound = float((diag - (absolute_row_sums(vbar) - np.abs(diag))).min())
     c = EIG_FLOOR - bound
     c += ulps * float(np.spacing(c))
     server = ServerState(d, BaselineConfidence(d, 100, 0.1))
@@ -418,7 +428,7 @@ def test_regularize_clamps_an_indefinite_sum():
        st.integers(0, 2**32 - 1),
        st.sampled_from(["spd", "ties", "tiny_negative", "negative", "singular", "long_arm"]))
 def test_optimistic_argmax_matches_numpy_reference(d, k, seed, case):
-    # k from 30 to 40 crosses the switch to NumPy's reductions at 32 arms
+    # k from 30 to 40: more arms than the benchmark's 10
     rng = np.random.default_rng(seed)
     arms = random_arms(k, d, rng)
     theta = rng.standard_normal(d)
@@ -596,7 +606,7 @@ def test_block_environment_matches_per_round_reference(d, k, glm, seed, theta):
                                       derive_rng(seed, "reward"), link=link)
     with pytest.raises(ContractViolation):
         block.reward(0)  # no round is open yet
-    played = np.random.default_rng(seed + 1).integers(k, size=4 * BLOCK_ROUNDS)
+    played = np.random.default_rng(seed + 1).integers(k, size=4 * mechanisms.DRAW_AHEAD)
     kept = []
     # four whole blocks: three block boundaries crossed
     for t, arm in enumerate(played.tolist(), start=1):
@@ -613,6 +623,28 @@ def test_block_environment_matches_per_round_reference(d, k, glm, seed, theta):
     assert block.rng.bit_generator.state == reference.rng.bit_generator.state
     for arms, copy in kept:  # later blocks do not write into earlier rounds
         assert bits(arms) == bits(copy)
+
+
+def test_large_environment_blocks_hold_at_most_the_float_cap():
+    # K = 200, d = 40: 8,400 normals a round, so a block holds 65,536 // 8,400
+    # = 7 rounds, not DRAW_AHEAD
+    k, d, seed = 200, 40, 5
+    assert mechanisms._block_rounds(k * (d + 2)) == 7
+    theta = np.random.default_rng(seed).standard_normal(d)
+    theta /= 2.0 * float(np.linalg.norm(theta))
+    block = ContextualEnv(theta, k, np.random.default_rng(seed),
+                          DrawAhead(derive_rng(seed, "reward")))
+    reference = PerRoundContextualEnv(theta, k, np.random.default_rng(seed),
+                                      derive_rng(seed, "reward"))
+    twin = np.random.default_rng(seed)
+    twin.standard_normal((7, k, d + 2))
+    for t in range(1, 10):  # across the block edge after round 7
+        rnd, ref = block.step(t), reference.step(t)
+        if t == 1:
+            assert block.rng.bit_generator.state == twin.bit_generator.state
+        assert bits(rnd.arms) == bits(ref.arms)
+        assert bits(rnd.scores) == bits(ref.scores)
+        assert bits(rnd.best_score) == bits(ref.best_score)
 
 
 # ---------------------------------------------------------------------------

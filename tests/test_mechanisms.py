@@ -29,7 +29,6 @@ from ldpbandits import (
     logistic_link,
     one_point_round,
     perturb_scalar,
-    perturb_vector,
     symmetric_gaussian_matrix,
     two_point_round,
 )
@@ -188,29 +187,12 @@ class TestPerturbScalar:
         assert samples.var() == pytest.approx(4.0 * float(np.dot(direction, direction)), rel=0.05)
 
 
-class TestPerturbVector:
-    @pytest.mark.parametrize("d", [1, 5, 64])
-    def test_shape_preserved(self, d):
-        out = perturb_vector(np.zeros(d), 1.0, derive_rng(0, d))
-        assert out.shape == (d,)
-
-    def test_zero_noise_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        rng = derive_rng(0, 0)
-        state = rng.bit_generator.state
-        assert np.array_equal(perturb_vector(v, 0.0, rng), v)
-        assert rng.bit_generator.state == state
-
-    def test_coordinate_variance(self):
-        rng = derive_rng(17, 0, "noise")
-        d, n = 4, 50_000
-        samples = np.vstack([perturb_vector(np.zeros(d), 2.0, rng) for _ in range(n)])
-        assert np.allclose(samples.var(axis=0), 4.0, atol=0.1)
-
-
 class TestSymmetricMatrix:
     def test_zero_sigma_is_zero_matrix(self):
-        assert np.array_equal(symmetric_gaussian_matrix(3, 0.0, derive_rng(0, 0)), np.zeros((3, 3)))
+        rng = derive_rng(0, 0)
+        state = rng.bit_generator.state
+        assert np.array_equal(symmetric_gaussian_matrix(3, 0.0, rng), np.zeros((3, 3)))
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("d", [1, 2, 8, 32, 128])
     def test_exact_symmetry(self, d):
@@ -249,15 +231,17 @@ class TestReportNoise:
     @pytest.mark.parametrize("d, sigma, scales", [
         (3, 1.7, (1.7, 0.4)), (2, 0.9, (0.9,)), (1, 2.5, (2.5, 2.5)), (3, 1.1, (0.0,)),
     ])
-    def test_rounds_are_per_call_draws_across_block_edges(self, block, d, sigma, scales):
+    def test_rounds_are_per_call_draws_across_block_edges(self, block, d, sigma, scales,
+                                                          monkeypatch):
+        if block:
+            monkeypatch.setattr(mechanisms, "DRAW_AHEAD", block)
         rng, twin = derive_rng(41, d, "noise"), derive_rng(41, d, "noise")
-        noise = ReportNoise(rng, block)
-        n = 2 * mechanisms.REPORT_BLOCK + 5
+        noise = ReportNoise(rng)
+        n = 2 * mechanisms.DRAW_AHEAD + 5
         for _ in range(n):
             assert noise.round(d, sigma, scales).tobytes() == per_call_round(
                 twin, d, sigma, scales).tobytes()
-        size = block or mechanisms.REPORT_BLOCK
-        for _ in range(-n % size):  # the rest of the last block
+        for _ in range(-n % mechanisms.DRAW_AHEAD):  # the rest of the last block
             per_call_round(twin, d, sigma, scales)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -280,6 +264,12 @@ class TestReportNoise:
             glm_local_report(X, 1.0, THETA_HAT, logistic_link(), 0.0, ReportNoise(rng))
         assert rng.bit_generator.state == state
 
+    def test_vector_row_variance(self):
+        noise = ReportNoise(derive_rng(17, 0, "noise"))
+        n = 20_000
+        rows = np.vstack([noise.round(1, 0.0, (2.0,) * 4)[1:, 0] for _ in range(n)])
+        assert np.allclose(rows.var(axis=0), 4.0, atol=0.15)
+
     def test_one_layout_per_sampler(self):
         noise = ReportNoise(derive_rng(44, 0))
         noise.round(3, 1.0, (1.0,))
@@ -300,8 +290,8 @@ class TestReportNoise:
         while twin.bit_generator.state != rng.bit_generator.state:
             per_call_round(twin, d, 1.0, (1.0,))
             rounds += 1
-            assert rounds <= mechanisms.REPORT_BLOCK
-        assert 1 <= rounds and rounds * (d + 1) * d <= mechanisms._REPORT_FLOATS
+            assert rounds <= mechanisms.DRAW_AHEAD
+        assert 1 <= rounds and rounds * (d + 1) * d <= mechanisms._BLOCK_FLOATS
 
 
 class TestStreams:
@@ -475,7 +465,7 @@ def plus_per_call_noise(clean, twin, sigma, *scales):
 
 def linear_path(privacy, rng):
     sigma = linear_sigma(privacy)
-    report = linear_local_report(X, 0.7, sigma, ReportNoise(rng, 1))
+    report = linear_local_report(X, 0.7, sigma, ReportNoise(rng))
     clean = (np.outer(X, X), 0.7 * X)
     return (report.gram, report.moment), clean, lambda twin: plus_per_call_noise(
         clean, twin, sigma, sigma)
@@ -483,7 +473,7 @@ def linear_path(privacy, rng):
 
 def glm_path(privacy, rng):
     sigma, link = glm_sigma(privacy), logistic_link()
-    report = glm_local_report(X, 1.0, THETA_HAT, link, sigma, ReportNoise(rng, 1))
+    report = glm_local_report(X, 1.0, THETA_HAT, link, sigma, ReportNoise(rng))
     z = float(X @ THETA_HAT)
     clean = (np.outer(X, X), z * X, (link.g(z) - 1.0) * X)
     return (report.gram, report.moment, report.gradient), clean, lambda twin: plus_per_call_noise(
@@ -502,7 +492,10 @@ def as_bits(values) -> bytes:
 
 @pytest.mark.parametrize("private", [True, False], ids=["sigma_positive", "sigma_zero"])
 @pytest.mark.parametrize("path", list(REPORT_PATHS))
-def test_report_draws_through_the_sampler_family(path, private):
+def test_report_draws_through_the_sampler_family(path, private, monkeypatch):
+    # blocks of one round: the twin's per-call draws leave its Generator
+    # where one report's block leaves ours
+    monkeypatch.setattr(mechanisms, "DRAW_AHEAD", 1)
     rng = derive_rng(31, 0, "noise")
     state = rng.bit_generator.state
     privacy = PrivacyParams(1.0, 1e-2) if private else None
