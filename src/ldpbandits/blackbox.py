@@ -1,10 +1,11 @@
 """Non-private black-box bandit learners used inside the private reductions.
 
 Contains:
-  * ball decision sets with Euclidean projection onto a shrunken copy,
-  * a one-point sphere-sampling gradient-descent learner (estimator
-    (d/rho) * loss * u for a uniform unit vector u),
-  * a two-query gradient-descent learner (estimator (d/2 rho) * (f1 - f2) * u),
+  * the decision set, a ball about the origin, with Euclidean projection,
+  * two sphere-sampling gradient-descent learners that share one projected
+    step onto the shrunken ball (1 - xi) * X: a one-point learner (estimator
+    (d/rho) * loss * u for a uniform unit vector u) and a two-query learner
+    (estimator (d/2 rho) * (f1 - f2) * u),
   * Tsallis-INF for multi-armed bandits (1/2-Tsallis regularizer,
     importance-weighted loss estimates),
   * lil'UCB for fixed-confidence best-arm identification.
@@ -23,7 +24,7 @@ SIMD width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, sub
 
 import numpy as np
@@ -38,47 +39,22 @@ from .mechanisms import DrawAhead
 
 @dataclass(frozen=True)
 class DecisionSet:
-    """A ball that contains the origin, with its inner/outer radii about the origin.
+    """The ball of the given radius about the origin of R^dim."""
 
-    inner_radius r and outer_radius R satisfy  r*B subset X subset R*B  where
-    B is the unit ball; both are needed by the query-feasibility margins.
-    """
-
-    center: np.ndarray
     radius: float
-    _c: tuple = field(init=False, repr=False, compare=False)  # center as floats
-
-    def __post_init__(self):
-        object.__setattr__(self, "_c", tuple(np.asarray(self.center, dtype=float).tolist()))
+    dim: int
 
     @staticmethod
-    def ball(radius: float, center=None, dim: int | None = None) -> "DecisionSet":
+    def ball(radius: float, dim: int) -> "DecisionSet":
         if radius <= 0:
             raise ConfigurationError("ball radius must be positive")
-        if center is None:
-            if dim is None:
-                raise ConfigurationError("ball needs a center or an explicit dim")
-            center = np.zeros(dim)
-        center = np.asarray(center, dtype=float)
-        if _norm(center.tolist()) >= radius:
-            raise ConfigurationError("ball must contain the origin strictly")
-        return DecisionSet(center=center, radius=float(radius))
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    @property
-    def inner_radius(self) -> float:
-        return self.radius - _norm(self._c)
-
-    @property
-    def outer_radius(self) -> float:
-        return self.radius + _norm(self._c)
+        if dim < 1:  # a learner on a 0-dim ball would redraw its direction forever
+            raise ConfigurationError(f"ball needs dim >= 1, got {dim}")
+        return DecisionSet(radius=float(radius), dim=int(dim))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Is the point x (a sequence of floats) within the radius, up to tol?"""
-        return _norm(map(sub, x, self._c)) <= self.radius + tol
+        return _norm(x) <= self.radius + tol
 
 
 def _dot(a, b) -> float:
@@ -98,151 +74,129 @@ def _norm(v) -> float:
     return math.sqrt(total)
 
 
-def project(point, dset: DecisionSet, shrink: float = 0.0) -> list[float]:
-    """Euclidean projection of point (a sequence of floats) onto
-    (1 - shrink) * dset, as a list of floats.
-
-    The shrunken set is the original scaled about the origin.  Idempotent.
-    """
-    if not (0 <= shrink < 1):
-        raise ConfigurationError(f"shrink must be in [0, 1), got {shrink}")
-    s = 1.0 - shrink
-    return _project([float(a) for a in point], [s * c for c in dset._c], s * dset.radius)
+def project(point, dset: DecisionSet) -> list[float]:
+    """Euclidean projection of point (a sequence of floats) onto dset, as a
+    list of floats.  Idempotent."""
+    return _project([float(a) for a in point], dset.radius)
 
 
-def _project(p: list[float], c: list[float], r: float) -> list[float]:
-    """The projection of p onto the ball of radius r about c; p itself
-    when it lies inside."""
-    diff = list(map(sub, p, c))
-    norm = _norm(diff)
+def _project(p: list[float], r: float) -> list[float]:
+    """The projection of p onto the ball of radius r about the origin; p
+    itself when it lies inside."""
+    norm = _norm(p)
     if norm <= r:
         return p
     scale = r / norm
-    return [a + b * scale for a, b in zip(c, diff)]
-
-
-def _uniform_unit_vector(d: int, stream: DrawAhead) -> list[float]:
-    """u / |u| for u the stream's next d standard normals; a u of norm at
-    most 1e-12 is drawn again."""
-    while True:
-        u = stream.normals(d)
-        norm = _norm(u)
-        if norm > 1e-12:
-            return [x / norm for x in u]
+    return [a * scale for a in p]
 
 
 # ---------------------------------------------------------------------------
-# one-point sphere-sampling learner
+# sphere-sampling gradient descent
 
 
-class FkmBandit:
-    """Gradient descent with the one-point estimator (d/rho) * loss * u.
+class _SphereDescent:
+    """Projected gradient descent on the shrunken ball (1 - xi) * X, queried
+    rho away from its point y along a uniform unit direction u.
 
-    Per round: the center moves against the previous round's estimate, then a
-    fresh uniform unit direction u is drawn and the query y + rho * u is
-    played.  The center lives in the shrunken set (1 - xi) * X, which keeps
-    every query inside X as long as rho <= xi * inner_radius.  y, u and the
-    query are lists of floats.
+    Every query stays inside X as long as rho <= xi * r.  y, u and the
+    queries are lists of floats; t counts the rounds.
     """
 
     def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
                  rng: DrawAhead):
-        if rho <= 0 or eta <= 0:
-            raise ConfigurationError("eta and rho must be positive")
-        if not (0 <= xi < 1):
-            raise ConfigurationError(f"xi must be in [0, 1), got {xi}")
-        if rho > xi * dset.inner_radius + 1e-12:
-            raise ConfigurationError(
-                f"infeasible exploration radius: rho={rho} exceeds "
-                f"xi * r = {xi * dset.inner_radius}; queries could exit the set"
-            )
-        self.dset = dset
-        self.d = dset.dim
-        self.eta = float(eta)
-        self.rho = float(rho)
-        self.xi = float(xi)
-        self.rng = rng
-        self.y = [0.0] * self.d
-        self.last_u = [0.0] * self.d
-        self.t = 0
-        self._shrunk = ([(1.0 - self.xi) * c for c in dset._c], (1.0 - self.xi) * dset.radius)
-
-    @staticmethod
-    def default_parameters(dset: DecisionSet, horizon: int, loss_bound: float):
-        """Classical schedule: rho = r * T^(-1/4), xi = rho / r,
-        eta = R / ((d * B / rho) * sqrt(T)).  loss_bound should be the
-        effective bound of the fed-back values, noise included."""
-        r = dset.inner_radius
-        R = dset.outer_radius
-        d = dset.dim
-        rho = r * horizon ** -0.25
-        xi = rho / r
-        eta = R / ((d * loss_bound / rho) * math.sqrt(horizon))
-        return eta, rho, xi
-
-    def observe(self, feedback: float):
-        # y - eta * grad with grad = (d / rho) * feedback * u
-        g = (self.d / self.rho) * float(feedback)
-        eta = self.eta
-        self.y = _project([y - eta * (g * u) for y, u in zip(self.y, self.last_u)],
-                          *self._shrunk)
-
-    def propose(self) -> list[float]:
-        self.t += 1
-        self.last_u = _uniform_unit_vector(self.d, self.rng)
-        rho = self.rho
-        return [y + rho * u for y, u in zip(self.y, self.last_u)]
-
-
-# ---------------------------------------------------------------------------
-# two-query learner
-
-
-class TwoPointBandit:
-    """Gradient descent fed by two symmetric queries per round.
-
-    Queries are y + rho*u and y - rho*u; the update uses
-    g = (d / 2 rho) * (value difference) * u and projects back onto
-    (1 - xi) * X.  With mu > 0 the step size is 1/(mu * t), otherwise the
-    fixed eta is used.  y, u and the queries are lists of floats.
-    """
-
-    def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
-                 rng: DrawAhead, mu: float = 0.0):
         if rho <= 0:
             raise ConfigurationError("rho must be positive")
         if not (0 <= xi < 1):
             raise ConfigurationError(f"xi must be in [0, 1), got {xi}")
-        if rho > xi * dset.inner_radius + 1e-12:
+        if rho > xi * dset.radius + 1e-12:
             raise ConfigurationError(
                 f"infeasible exploration radius: rho={rho} exceeds "
-                f"xi * r = {xi * dset.inner_radius}"
+                f"xi * r = {xi * dset.radius}; queries could exit the set"
             )
-        if mu < 0:
-            raise ConfigurationError("mu must be nonnegative")
-        if mu == 0.0 and eta <= 0:
-            raise ConfigurationError("eta must be positive in the convex mode")
-        self.dset = dset
         self.d = dset.dim
         self.eta = float(eta)
         self.rho = float(rho)
         self.xi = float(xi)
-        self.mu = float(mu)
         self.rng = rng
         self.y = [0.0] * self.d
         self.u = [0.0] * self.d
         self.t = 0
+        self._radius = (1.0 - self.xi) * dset.radius
+
+    def _next_direction(self) -> list[float]:
+        """Count a round and draw its u: v / |v| for v the stream's next d
+        standard normals, a v of norm at most 1e-12 drawn again."""
+        self.t += 1
+        while True:
+            v = self.rng.normals(self.d)
+            norm = _norm(v)
+            if norm > 1e-12:
+                self.u = u = [x / norm for x in v]
+                return u
+
+    def _step(self, eta: float, g: float):
+        """y <- the projection of y - eta * (g * u) onto (1 - xi) * X."""
+        self.y = _project([y - eta * (g * u) for y, u in zip(self.y, self.u)], self._radius)
+
+
+class FkmBandit(_SphereDescent):
+    """Gradient descent with the one-point estimator (d/rho) * loss * u.
+
+    Per round: the center moves against the previous round's estimate, then a
+    fresh uniform unit direction u is drawn and the query y + rho * u is
+    played.
+    """
+
+    def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
+                 rng: DrawAhead):
+        if eta <= 0:
+            raise ConfigurationError("eta must be positive")
+        super().__init__(dset, eta, rho, xi, rng)
+
+    @staticmethod
+    def default_parameters(dset: DecisionSet, horizon: int, loss_bound: float):
+        """Classical schedule: rho = r * T^(-1/4), xi = rho / r,
+        eta = r / ((d * B / rho) * sqrt(T)).  loss_bound should be the
+        effective bound of the fed-back values, noise included."""
+        r = dset.radius
+        rho = r * horizon ** -0.25
+        xi = rho / r
+        eta = r / ((dset.dim * loss_bound / rho) * math.sqrt(horizon))
+        return eta, rho, xi
+
+    def observe(self, feedback: float):
+        # grad = (d / rho) * feedback * u
+        self._step(self.eta, (self.d / self.rho) * float(feedback))
+
+    def propose(self) -> list[float]:
+        rho = self.rho
+        return [y + rho * u for y, u in zip(self.y, self._next_direction())]
+
+
+class TwoPointBandit(_SphereDescent):
+    """Gradient descent fed by two symmetric queries per round.
+
+    Queries are y + rho*u and y - rho*u; the update uses
+    g = (d / 2 rho) * (value difference) * u.  With mu > 0 the step size is
+    1/(mu * t), otherwise the fixed eta is used.
+    """
+
+    def __init__(self, dset: DecisionSet, eta: float, rho: float, xi: float,
+                 rng: DrawAhead, mu: float = 0.0):
+        super().__init__(dset, eta, rho, xi, rng)
+        if mu < 0:
+            raise ConfigurationError("mu must be nonnegative")
+        if mu == 0.0 and eta <= 0:
+            raise ConfigurationError("eta must be positive in the convex mode")
+        self.mu = float(mu)
         self._pending = False
-        self._shrunk = ([(1.0 - self.xi) * c for c in dset._c], (1.0 - self.xi) * dset.radius)
 
     def queries(self) -> tuple[list[float], list[float]]:
         """Draw a fresh unit direction and return (y + rho u, y - rho u)."""
         if self._pending:
             raise ContractViolation("queries() called twice without update()")
-        self.t += 1
-        self.u = _uniform_unit_vector(self.d, self.rng)
         rho = self.rho
-        step = [rho * u for u in self.u]
+        step = [rho * u for u in self._next_direction()]
         self._pending = True
         return list(map(add, self.y, step)), list(map(sub, self.y, step))
 
@@ -252,10 +206,8 @@ class TwoPointBandit:
             raise ContractViolation("update() called before queries()")
         self._pending = False
         eta_t = 1.0 / (self.mu * self.t) if self.mu > 0 else self.eta
-        # y - eta_t * grad with grad = (d / 2 rho) * difference * u
-        g = (self.d / (2.0 * self.rho)) * float(value_difference)
-        self.y = _project([y - eta_t * (g * u) for y, u in zip(self.y, self.u)],
-                          *self._shrunk)
+        # grad = (d / 2 rho) * difference * u
+        self._step(eta_t, (self.d / (2.0 * self.rho)) * float(value_difference))
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,6 @@ class LinkFunction:
         """g(a) - y: the loss's derivative in a, the gradient's coefficient."""
         return self.g(a) - y
 
-    def gradient(self, x: np.ndarray, y: float, theta: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.residual(float(x.dot(theta)), y) * x
-
 
 def _sigmoid(a: float) -> float:
     if a >= 0:

@@ -118,7 +118,7 @@ class QuadraticOracle:
         self.dset = dset
         self.scale = float(scale)
         self._x_star = self.x_star.tolist()
-        reach = dset.outer_radius + _norm(self._x_star)
+        reach = dset.radius + _norm(self._x_star)
         self.bound = self.scale * reach**2
         self.lipschitz = 2.0 * self.scale * reach
         self.mu = 2.0 * self.scale
@@ -155,7 +155,7 @@ class AffineQuadraticOracle:
         self._x_star = self.base._x_star
         self.horizon = horizon
         self._drift_key = (seed, horizon, self.x_star.size, float(drift_norm))
-        self.bound = self.base.bound + drift_norm * dset.outer_radius
+        self.bound = self.base.bound + drift_norm * dset.radius
         self.lipschitz = self.base.lipschitz + drift_norm
         self.mu = self.base.mu
 

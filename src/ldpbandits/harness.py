@@ -35,7 +35,7 @@ from .environments import (
     QuadraticOracle,
     StochasticMab,
 )
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, LdpBanditsError
 from .mechanisms import DrawAhead, PrivacyParams, ReportNoise, derive_rng
 from .reductions import (
     LdpBaiLearner,
@@ -112,38 +112,47 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        _check_keys(
-            doc,
-            ("algorithm", "horizon", "replications", "base_seed", "environment",
-             "algorithm_params", "privacy", "checkpoints"),
-            "experiment",
-        )
-        for key in ("algorithm", "horizon", "replications", "base_seed", "environment"):
-            if key not in doc:
-                raise ConfigurationError(f"missing required config key {key!r}")
-        privacy = doc.get("privacy")
-        if privacy is not None:
-            _check_keys(privacy, ("epsilon", "delta"), "privacy")
-            if set(privacy) != {"epsilon", "delta"}:
-                raise ConfigurationError("privacy needs both epsilon and delta")
-            privacy = PrivacyParams(epsilon=privacy["epsilon"], delta=privacy["delta"])
-        config = ExperimentConfig(
-            algorithm=doc["algorithm"],
-            horizon=int(doc["horizon"]),
-            replications=int(doc["replications"]),
-            base_seed=int(doc["base_seed"]),
-            environment=dict(doc["environment"]),
-            algorithm_params=dict(doc.get("algorithm_params", {})),
-            privacy=privacy,
-            checkpoints=int(doc.get("checkpoints", 20)),
-        )
-        # building a replication runs every check a replication makes
-        _ALGORITHMS[config.algorithm](config, None, None)
+        try:
+            _check_keys(
+                doc,
+                ("algorithm", "horizon", "replications", "base_seed", "environment",
+                 "algorithm_params", "privacy", "checkpoints"),
+                "experiment",
+            )
+            for key in ("algorithm", "horizon", "replications", "base_seed", "environment"):
+                if key not in doc:
+                    raise ConfigurationError(f"missing required config key {key!r}")
+            privacy = doc.get("privacy")
+            if privacy is not None:
+                _check_keys(privacy, ("epsilon", "delta"), "privacy")
+                if set(privacy) != {"epsilon", "delta"}:
+                    raise ConfigurationError("privacy needs both epsilon and delta")
+                privacy = PrivacyParams(epsilon=privacy["epsilon"], delta=privacy["delta"])
+            config = ExperimentConfig(
+                algorithm=doc["algorithm"],
+                horizon=int(doc["horizon"]),
+                replications=int(doc["replications"]),
+                base_seed=int(doc["base_seed"]),
+                environment=dict(doc["environment"]),
+                algorithm_params=dict(doc.get("algorithm_params", {})),
+                privacy=privacy,
+                checkpoints=int(doc.get("checkpoints", 20)),
+            )
+            # building a replication runs every check a replication makes
+            _ALGORITHMS[config.algorithm](config, None, None)
+        except LdpBanditsError:
+            raise
+        except (TypeError, ValueError) as err:  # a field of the wrong type
+            raise ConfigurationError(f"invalid config value: {err}") from err
         return config
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigurationError(f"config is not JSON: {err}") from err
+        return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
         return {
@@ -274,7 +283,7 @@ def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
     if mode not in ("convex", "strongly_convex"):
         raise ConfigurationError("two-point mode must be convex or strongly_convex")
     t_config = TwoPointConfig.for_horizon(
-        config.privacy, oracle.lipschitz, config.horizon, dset.inner_radius,
+        config.privacy, oracle.lipschitz, config.horizon, dset.radius,
         eta=params.get("eta"), rho=params.get("rho"), xi=params.get("xi"),
     )
     mu = oracle.mu if mode == "strongly_convex" else 0.0

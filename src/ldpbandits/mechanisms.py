@@ -83,18 +83,17 @@ class DrawAhead:
     normals(n) is Generator.standard_normal(n), here as Python floats.  A
     stream serves one kind only: a block of one kind leaves the Generator
     where single draws of the other kind would not, so asking for the second
-    kind raises.  Nothing is drawn before the first request.
+    kind raises, also while a block of the first is left (every request
+    checks the kind).  Nothing is drawn before the first request.
     """
 
-    __slots__ = ("rng", "_kind", "_uniforms", "_u_next", "_normals", "_n_next")
+    __slots__ = ("rng", "_kind", "_draws", "_next")
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self._kind = None
-        self._uniforms: list[float] = []
-        self._u_next = 0
-        self._normals: list[float] = []
-        self._n_next = 0
+        self._draws: list[float] = []  # the current block, of the stream's kind
+        self._next = 0
 
     def _block(self, kind: str) -> list[float]:
         if self._kind is None:
@@ -105,33 +104,33 @@ class DrawAhead:
         return draw(DRAW_AHEAD).tolist()
 
     def uniform(self) -> float:
-        i = self._u_next
-        if i == len(self._uniforms):
-            self._uniforms = self._block("uniform")
+        i = self._next
+        if i == len(self._draws) or self._kind != "uniform":
+            self._draws = self._block("uniform")
             i = 0
-        self._u_next = i + 1
-        return self._uniforms[i]
+        self._next = i + 1
+        return self._draws[i]
 
     def normal(self) -> float:
-        i = self._n_next
-        if i == len(self._normals):
-            self._normals = self._block("normal")
+        i = self._next
+        if i == len(self._draws) or self._kind != "normal":
+            self._draws = self._block("normal")
             i = 0
-        self._n_next = i + 1
-        return self._normals[i]
+        self._next = i + 1
+        return self._draws[i]
 
     def normals(self, n: int) -> list[float]:
-        i = self._n_next
+        i = self._next
         j = i + n
-        if j <= len(self._normals):
-            self._n_next = j
-            return self._normals[i:j]
-        out = self._normals[i:]  # the rest of this block, then the next ones
+        if j <= len(self._draws) and self._kind == "normal":
+            self._next = j
+            return self._draws[i:j]
+        out = self._draws[i:]  # the rest of this block, then the next ones
         while True:
-            draws = self._normals = self._block("normal")
+            draws = self._draws = self._block("normal")
             need = n - len(out)
             if need <= len(draws):
-                self._n_next = need
+                self._next = need
                 return out + draws[:need]
             out += draws
 

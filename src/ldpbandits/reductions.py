@@ -114,13 +114,13 @@ class TwoPointConfig:
         object.__setattr__(self, "sigma", two_point_sigma(self.privacy, self.lipschitz))
 
     @staticmethod
-    def for_horizon(privacy, lipschitz, horizon, inner_radius,
+    def for_horizon(privacy, lipschitz, horizon, radius,
                     eta=None, rho=None, xi=None) -> "TwoPointConfig":
         if horizon < 2:
             raise ConfigurationError("horizon must be >= 2 for the default schedule")
         rho = math.log(horizon) / horizon if rho is None else rho
         eta = 1.0 / math.sqrt(horizon) if eta is None else eta
-        xi = rho / inner_radius if xi is None else xi
+        xi = rho / radius if xi is None else xi
         return TwoPointConfig(privacy=privacy, lipschitz=lipschitz, horizon=horizon,
                               eta=eta, rho=rho, xi=xi)
 

@@ -469,6 +469,7 @@ def criterion_11(n_jobs):
 def criterion_12(n_jobs):
     link = ctx.logistic_link()
     rng = np.random.default_rng(121_993)
+    noise = ReportNoise(rng)  # sigma = 0: the report draws nothing
     h = 1e-6
     worst = 0.0
     for _ in range(100):
@@ -478,7 +479,7 @@ def criterion_12(n_jobs):
         theta = rng.normal(0, 0.5, d)
         theta /= max(np.linalg.norm(theta), 1.0)
         y = float(rng.integers(0, 2))
-        grad = link.gradient(x, y, theta)
+        grad = ctx.glm_local_report(x, y, theta, link, 0.0, noise).gradient
         for i in range(d):
             e = np.zeros(d)
             e[i] = h

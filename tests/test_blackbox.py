@@ -28,42 +28,36 @@ def stream(*labels) -> DrawAhead:
 class TestDecisionSet:
     def test_ball_radii(self):
         ball = DecisionSet.ball(2.0, dim=3)
-        assert ball.inner_radius == 2.0
-        assert ball.outer_radius == 2.0
+        assert ball.radius == 2.0
+        assert ball.dim == 3
 
-    def test_inner_le_outer(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            radius = rng.uniform(0.1, 3.0)
-            center = rng.normal(0, 1, 3)
-            center *= rng.uniform(0.0, 0.99) * radius / np.linalg.norm(center)
-            ball = DecisionSet.ball(radius, center)
-            assert 0 < ball.inner_radius <= ball.outer_radius + 1e-12
-
-    def test_origin_required(self):
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_1_rejected(self, dim):
         with pytest.raises(ConfigurationError):
-            DecisionSet.ball(1.0, [1.5, 0.0])
+            DecisionSet.ball(1.0, dim=dim)
 
 
 class TestProject:
     def test_interior_point_unchanged(self):
         p = np.array([0.2, 0.1])
-        assert np.array_equal(project(p, UNIT_BALL_2D, 0.0), p)
+        assert np.array_equal(project(p, UNIT_BALL_2D), p)
 
     def test_radial_scaling(self):
-        out = project(np.array([3.0, 0.0]), UNIT_BALL_2D, 0.0)
+        out = project(np.array([3.0, 0.0]), UNIT_BALL_2D)
         assert np.allclose(out, [1.0, 0.0])
 
     def test_shrunken_scaling(self):
-        out = project(np.array([3.0, 0.0]), UNIT_BALL_2D, 0.5)
+        # the learners project onto (1 - xi) * X, here X = the unit ball, xi = 0.5
+        out = project(np.array([3.0, 0.0]), DecisionSet.ball(0.5, dim=2))
         assert np.allclose(out, [0.5, 0.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
+        ball = DecisionSet.ball(0.7, dim=2)
         for _ in range(50):
             p = rng.normal(0, 2, 2)
-            once = project(p, UNIT_BALL_2D, 0.3)
-            assert np.allclose(project(once, UNIT_BALL_2D, 0.3), once, atol=1e-15)
+            once = project(p, ball)
+            assert np.allclose(project(once, ball), once, atol=1e-15)
 
     @pytest.mark.parametrize("dset", [DecisionSet.ball(1.5, dim=3)])
     def test_projection_optimality(self, dset):
@@ -71,9 +65,17 @@ class TestProject:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             p = rng.normal(0, 3, 3)
-            proj = project(p, dset, 0.0)
-            q = project(rng.normal(0, 3, 3), dset, 0.0)  # a feasible point
+            proj = project(p, dset)
+            q = project(rng.normal(0, 3, 3), dset)  # a feasible point
             assert np.linalg.norm(proj - p) <= np.linalg.norm(q - p) + 1e-9
+
+
+@pytest.mark.parametrize("learner", [FkmBandit, TwoPointBandit], ids=["fkm", "two_point"])
+@pytest.mark.parametrize("rho, xi", [(0.3, 0.1), (0.1, 1.0)], ids=["rho_above_xi_r", "xi_1"])
+def test_infeasible_rho_rejected(learner, rho, xi):
+    # the checks both learners share: rho <= xi * r with xi in [0, 1)
+    with pytest.raises(ConfigurationError):
+        learner(UNIT_BALL_2D, 0.01, rho=rho, xi=xi, rng=stream(0, 0))
 
 
 class TestFkm:
@@ -90,7 +92,7 @@ class TestFkm:
     def test_hand_update(self):
         # (d/rho) * loss * u = (2/0.1) * 0.3 * (0,1) = (0,6); y moves by -eta * that
         learner = self._learner(eta=0.01, rho=0.1, xi=0.1)
-        learner.last_u = np.array([0.0, 1.0])
+        learner.u = np.array([0.0, 1.0])
         learner.observe(0.3)
         assert np.allclose(learner.y, [0.0, -0.06], atol=1e-15)
 
@@ -106,10 +108,6 @@ class TestFkm:
             learner.observe(rng.uniform(-1, 1))
             x = learner.propose()
             assert UNIT_BALL_2D.contains(x, tol=1e-9)
-
-    def test_infeasible_rho_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FkmBandit(UNIT_BALL_2D, 0.01, rho=0.3, xi=0.1, rng=stream(0, 0))
 
     def test_estimator_matches_smoothed_gradient(self):
         # E_u[(d/rho) f(y + rho u) u] is the gradient of the ball-smoothed f;

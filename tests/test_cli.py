@@ -79,11 +79,13 @@ def test_slope_command(tmp_path, runner):
 
 def test_invalid_config_rejected(tmp_path, runner):
     config_path = tmp_path / "bad.json"
-    config_path.write_text(json.dumps(dict(config_doc(), surprise=1)))
-    result = runner.invoke(main, ["run", str(config_path), "-o", str(tmp_path)])
-    assert result.exit_code == 1
-    assert "Error: " in result.output and "surprise" in result.output
-    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    for text, shown in [(json.dumps(dict(config_doc(), surprise=1)), "surprise"),
+                        ("{not json", "config is not JSON")]:
+        config_path.write_text(text)
+        result = runner.invoke(main, ["run", str(config_path), "-o", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "Error: " in result.output and shown in result.output
+        assert isinstance(result.exception, SystemExit)  # a message, not a traceback
 
 
 @pytest.mark.parametrize("text, shown", [

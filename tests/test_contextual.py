@@ -169,9 +169,11 @@ class TestLogisticLink:
         assert link.m(0.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        # (g(x.theta) - y) x vs central differences of the loss in theta
+        # the GLM report's (g(x.theta) - y) x vs central differences of the
+        # loss in theta
         link = logistic_link()
         rng = np.random.default_rng(4)
+        noise = ReportNoise(rng)  # sigma = 0: the report draws nothing
         h = 1e-6
         worst = 0.0
         for _ in range(100):
@@ -181,7 +183,7 @@ class TestLogisticLink:
             theta = rng.normal(0, 0.5, d)
             theta /= max(np.linalg.norm(theta), 1.0)
             y = float(rng.integers(0, 2))
-            grad = link.gradient(x, y, theta)
+            grad = glm_local_report(x, y, theta, link, 0.0, noise).gradient
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = h
@@ -193,7 +195,8 @@ class TestLogisticLink:
 
     def test_glm_gradient_example(self):
         link = logistic_link()
-        grad = link.gradient(np.array([1.0, 0.0]), 1.0, np.zeros(2))
+        grad = glm_local_report(np.array([1.0, 0.0]), 1.0, np.zeros(2), link, 0.0,
+                                ReportNoise(derive_rng(0, 0))).gradient
         assert np.allclose(grad, [-0.5, 0.0], atol=1e-12)
 
 

@@ -130,12 +130,17 @@ _MAB = mab_doc(horizon=100)
          environment={"kind": "affine_quadratic", "dim": 2, "drift_norm": -1}),
     dict(_MAB, privacy={"epsilon": 1.0}),
     dict(_MAB, environment={"kind": "stochastic", "means": []}),
+    dict(_BAI, horizon="ten"),
+    dict(_BAI, environment=5),
+    dict(_BCO, algorithm="two_point_bco", horizon=100, environment={"dim": "three"}),
+    dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": "fast"}),
 ], ids=["two_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
         "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
         "bai_negative_eps", "bai_negative_lam", "theta_star_longer_than_dim",
         "x_star_longer_than_dim", "bco_dim_0", "contextual_dim_0", "bco_dim_negative",
         "bco_no_dim", "switching_no_blocks", "affine_negative_drift", "privacy_no_delta",
-        "mab_no_means"])
+        "mab_no_means", "horizon_not_a_number", "environment_not_an_object",
+        "dim_not_a_number", "eta_not_a_number"])
 def test_from_dict_rejects_what_a_replication_rejects(doc):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict(doc)

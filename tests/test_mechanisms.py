@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from ldpbandits import (
     CalibrationError,
     ContractViolation,
+    DecisionSet,
     DrawAhead,
     LdpBaiLearner,
     LdpMabLearner,
     OnePointConfig,
     PrivacyParams,
     ReportNoise,
+    TwoPointBandit,
     TwoPointConfig,
     calibrate_gaussian,
     derive_rng,
@@ -33,7 +35,6 @@ from ldpbandits import (
     two_point_round,
 )
 from ldpbandits import mechanisms
-from ldpbandits.blackbox import _uniform_unit_vector
 
 mpmath.mp.dps = 50
 
@@ -354,8 +355,10 @@ class TestDrawAhead:
             def standard_normal(self, n):
                 return np.array([0.0, 1e-13, 0.0, 3.0, 4.0, 0.0] + [1.0] * (n - 6))
 
-        u = _uniform_unit_vector(3, DrawAhead(Scripted()))
-        assert u == [3.0 / 5.0, 4.0 / 5.0, 0.0]
+        learner = TwoPointBandit(DecisionSet.ball(1.0, dim=3), 0.01, 0.1, 0.1,
+                                 DrawAhead(Scripted()))
+        learner.queries()
+        assert learner.u == [3.0 / 5.0, 4.0 / 5.0, 0.0]
 
     @pytest.mark.parametrize("first, second", [
         ("uniform", "normal"), ("uniform", "normals"),
