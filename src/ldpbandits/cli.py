@@ -76,11 +76,13 @@ def slope(trace_path, last, output):
 @main.command()
 @click.argument("ids", nargs=-1)
 @click.option("--jobs", "-j", default=None, type=int, help="Parallel replications.")
+@_reported()
 def suite(ids, jobs):
     """Run acceptance criteria by id (e.g. 1 2 9) or 'all'.
 
     Exits nonzero if any executed criterion fails.
     """
+    jobs = harness.default_jobs() if jobs is None else jobs  # a bad LDPBANDITS_JOBS fails first
     try:
         results = suites.run_suite(ids or ("all",), n_jobs=jobs)
     except KeyError as exc:

@@ -64,14 +64,6 @@ class AdversarialMab:
         return float(self.table[t - 1, arm])
 
     @staticmethod
-    def fixed_gap(n_arms: int, horizon: int, best_loss: float = 0.3,
-                  gap: float = 0.2) -> "AdversarialMab":
-        """Constant losses: one best arm at best_loss, the rest at best_loss + gap."""
-        losses = np.full(n_arms, best_loss + gap)
-        losses[0] = best_loss
-        return AdversarialMab(np.tile(losses, (horizon, 1)))
-
-    @staticmethod
     def switching(n_arms: int, horizon: int, anchor_loss: float = 0.45,
                   dip_loss: float = 0.44, off_loss: float = 0.65,
                   n_blocks: int = 10) -> "AdversarialMab":

@@ -19,9 +19,10 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -35,7 +36,7 @@ from .environments import (
     QuadraticOracle,
     StochasticMab,
 )
-from .errors import ConfigurationError, ContractViolation, LdpBanditsError
+from .errors import ConfigurationError, ContractViolation
 from .mechanisms import DrawAhead, PrivacyParams, ReportNoise, derive_rng
 from .reductions import (
     LdpBaiLearner,
@@ -79,71 +80,148 @@ def checkpoint_grid(horizon: int, count: int = 20) -> np.ndarray:
     return pts
 
 
-def _check_keys(mapping: dict, allowed, context: str):
-    unknown = sorted(set(mapping) - set(allowed))
+# ---------------------------------------------------------------------------
+# the config schema, one row per field.  section "" is the top level; a row holds for its
+# algorithms (None: all), and a case names the one environment kind or privacy mode it holds
+# for.  A default of None is derived by the setup; range is a rule of _RANGES (kept by each
+# entry of a list) or a str's choices.  Ranges that a constructor checks are left to it.
+
+REQUIRED = object()  # the default of a field that a document must give
+_Field = namedtuple("_Field", "section algorithms case name type default range")
+_BCO = ("two_point_bco", "one_point_bco")
+_CONTEXTUAL = ("contextual_linear", "contextual_glm")
+_SWITCHING = "adversarial_switching"
+
+SCHEMA = [_Field(*row) for row in [
+    ("", None, None, "algorithm", str, REQUIRED, _BCO + ("mab", "bai") + _CONTEXTUAL),
+    ("", None, None, "horizon", int, REQUIRED, ">= 1"),
+    ("", None, None, "replications", int, REQUIRED, ">= 1"),
+    ("", None, None, "base_seed", int, REQUIRED, ">= 0"),
+    ("", None, None, "environment", dict, REQUIRED, None),
+    ("", None, None, "algorithm_params", dict, {}, None),
+    ("", None, None, "privacy", dict, None, None),
+    ("", None, None, "checkpoints", int, 20, ">= 1"),
+    ("privacy", None, None, "epsilon", float, REQUIRED, None),
+    ("privacy", None, None, "delta", float, REQUIRED, None),
+    ("environment", _BCO, None, "kind", str, "quadratic", ("quadratic", "affine_quadratic")),
+    ("environment", _BCO + _CONTEXTUAL, None, "dim", int, REQUIRED, ">= 1"),
+    ("environment", _BCO, None, "radius", float, 1.0, None),
+    ("environment", _BCO, None, "x_star", list, None, None),
+    ("environment", _BCO, None, "scale", float, 1.0, None),
+    ("environment", _BCO, "affine_quadratic", "drift_norm", float, 0.1, None),
+    ("environment", ("mab",), None, "kind", str, "stochastic", ("stochastic", _SWITCHING)),
+    ("environment", ("mab",), "stochastic", "means", list, REQUIRED, None),
+    ("environment", ("mab",), _SWITCHING, "n_arms", int, REQUIRED, None),
+    ("environment", ("mab",), _SWITCHING, "anchor_loss", float, 0.45, None),
+    ("environment", ("mab",), _SWITCHING, "dip_loss", float, 0.44, None),
+    ("environment", ("mab",), _SWITCHING, "off_loss", float, 0.65, None),
+    ("environment", ("mab",), _SWITCHING, "n_blocks", int, 10, None),
+    ("environment", ("bai",), None, "reward_means", list, REQUIRED, "in [0, 1]"),
+    ("environment", _CONTEXTUAL, None, "n_arms", int, 10, None),
+    ("environment", _CONTEXTUAL, None, "theta_star", list, None, None),
+    ("environment", ("contextual_glm",), None, "link", str, "logistic", ("logistic",)),
+    ("algorithm_params", ("two_point_bco",), None, "mode", str, "convex",
+     ("convex", "strongly_convex")),
+    ("algorithm_params", _BCO, None, "eta", float, None, None),
+    ("algorithm_params", _BCO, None, "rho", float, None, None),
+    ("algorithm_params", _BCO, None, "xi", float, None, None),
+    ("algorithm_params", ("bai",), None, "gamma", float, 0.1, None),
+    ("algorithm_params", ("bai",), None, "max_pulls", int, None, ">= 1"),
+    ("algorithm_params", ("bai",), None, "eps_lil", float, LilUcbParams.eps_lil, None),
+    ("algorithm_params", ("bai",), None, "beta_lil", float, LilUcbParams.beta_lil, None),
+    ("algorithm_params", ("bai",), None, "lam_lil", float, LilUcbParams.lam_lil, None),
+    ("algorithm_params", _CONTEXTUAL, None, "alpha", float, 0.1, None),
+    ("algorithm_params", _CONTEXTUAL, "private", "kappa", float, 1.0, None),
+    ("algorithm_params", _CONTEXTUAL, "non_private", "baseline_lambda", float, 1.0, None),
+    ("algorithm_params", ("contextual_glm",), None, "zeta", float, None, "> 0"),
+]]
+_RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0,
+           "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _finite(value) -> bool:
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past every float
+        return False
+
+
+_TYPES = {  # type -> (what a value must be, its test, its conversion)
+    int: ("an integer", lambda v: _finite(v) and float(v).is_integer(), int),
+    float: ("a finite number", _finite, float),
+    list: ("a nonempty list of finite numbers", lambda v: isinstance(v, (list, tuple))
+           and len(v) > 0 and all(map(_finite, v)), lambda v: [float(x) for x in v]),
+    dict: ("an object", lambda v: isinstance(v, dict), dict),
+}
+
+
+def _value(row: _Field, value):
+    """value (row.default where the document gives none) checked as row."""
+    name = f"{row.section}.{row.name}".lstrip(".")
+    if value is REQUIRED:
+        raise ConfigurationError(f"missing required config key {name}")
+    if value is None and row.default is None:
+        return None
+    if row.type is str:
+        if not isinstance(value, str) or value not in row.range:
+            raise ConfigurationError(f"unknown {name} {value!r}; expected one of {row.range}")
+        return value
+    what, valid, convert = _TYPES[row.type]
+    if not valid(value):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    value = convert(value)
+    if row.range and not all(map(_RANGES[row.range], value if row.type is list else [value])):
+        raise ConfigurationError(f"{name} must be {row.range}, got {value!r}")
+    return value
+
+
+def _check(section: str, doc: dict, algorithm: str | None = None, mode: str | None = None):
+    """doc's fields of section, checked against the SCHEMA rows of the
+    algorithm, the privacy mode and doc's own kind, defaults filled in."""
+    rows = [row for row in SCHEMA if row.section == section
+            and (row.algorithms is None or algorithm in row.algorithms)]
+    kind = next((_value(row, doc.get("kind", row.default)) for row in rows
+                 if row.name == "kind"), None)
+    rows = {row.name: row for row in rows if row.case in (None, kind, mode)}
+    unknown = sorted(f"{section}.{key}".lstrip(".") for key in doc if key not in rows)
     if unknown:
-        raise ConfigurationError(f"unknown config keys in {context}: {unknown}")
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+    return {name: _value(row, doc.get(name, row.default)) for name, row in rows.items()}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description; see README for the schema."""
+    """An experiment, built by from_dict.  environment, algorithm_params and privacy keep the
+    document's own values for to_dict; env and params, which the setups read, are those
+    sections checked against SCHEMA with its defaults filled in."""
 
     algorithm: str
     horizon: int
     replications: int
     base_seed: int
     environment: dict
-    algorithm_params: dict = field(default_factory=dict)
-    privacy: PrivacyParams | None = None
-    checkpoints: int = 20
-
-    def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:  # the setups, defined below
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(_ALGORITHMS)}"
-            )
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
-        if self.checkpoints < 1:
-            raise ConfigurationError("checkpoints must be >= 1")
+    algorithm_params: dict
+    privacy: PrivacyParams | None
+    checkpoints: int
+    env: dict = field(compare=False, repr=False)
+    params: dict = field(compare=False, repr=False)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        try:
-            _check_keys(
-                doc,
-                ("algorithm", "horizon", "replications", "base_seed", "environment",
-                 "algorithm_params", "privacy", "checkpoints"),
-                "experiment",
-            )
-            for key in ("algorithm", "horizon", "replications", "base_seed", "environment"):
-                if key not in doc:
-                    raise ConfigurationError(f"missing required config key {key!r}")
-            privacy = doc.get("privacy")
-            if privacy is not None:
-                _check_keys(privacy, ("epsilon", "delta"), "privacy")
-                if set(privacy) != {"epsilon", "delta"}:
-                    raise ConfigurationError("privacy needs both epsilon and delta")
-                privacy = PrivacyParams(epsilon=privacy["epsilon"], delta=privacy["delta"])
-            config = ExperimentConfig(
-                algorithm=doc["algorithm"],
-                horizon=int(doc["horizon"]),
-                replications=int(doc["replications"]),
-                base_seed=int(doc["base_seed"]),
-                environment=dict(doc["environment"]),
-                algorithm_params=dict(doc.get("algorithm_params", {})),
-                privacy=privacy,
-                checkpoints=int(doc.get("checkpoints", 20)),
-            )
-            # building a replication runs every check a replication makes
-            _ALGORITHMS[config.algorithm](config, None, None)
-        except LdpBanditsError:
-            raise
-        except (TypeError, ValueError) as err:  # a field of the wrong type
-            raise ConfigurationError(f"invalid config value: {err}") from err
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"a config must be an object, got {doc!r}")
+        top = _check("", doc)
+        algorithm, privacy = top["algorithm"], top["privacy"]
+        mode = "non_private" if privacy is None else "private"
+        if privacy is not None:
+            _check("privacy", privacy)
+            # the document's own numbers: {"epsilon": 2} digests unlike 2.0
+            top["privacy"] = PrivacyParams(**privacy)
+        config = ExperimentConfig(
+            **top, env=_check("environment", top["environment"], algorithm, mode),
+            params=_check("algorithm_params", top["algorithm_params"], algorithm, mode))
+        # building a replication runs every check a replication makes
+        _ALGORITHMS[algorithm](config, None, None)
         return config
 
     @staticmethod
@@ -155,18 +233,8 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "environment": self.environment,
-            "algorithm_params": self.algorithm_params,
-            "privacy": None
-            if self.privacy is None
-            else {"epsilon": self.privacy.epsilon, "delta": self.privacy.delta},
-            "checkpoints": self.checkpoints,
-        }
+        doc = {row.name: getattr(self, row.name) for row in SCHEMA if not row.section}
+        return dict(doc, privacy=self.privacy and asdict(self.privacy))
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -204,7 +272,7 @@ class SlopeFit:
 # ---------------------------------------------------------------------------
 # per-algorithm setups and the round loop
 #
-# A setup takes (config, rep, record), checks the config and returns
+# A setup takes (config, rep, record), reads config.env and config.params and returns
 # step(t), which plays round t and returns its ground-truth loss or regret,
 # and comparator(t), the hindsight-best total loss over rounds 1..t that a
 # checkpoint subtracts from the accumulated total (0 where step already
@@ -235,58 +303,33 @@ def _stream(config: ExperimentConfig, rep: int | None, role: str, kind=DrawAhead
     return None if rng is None else kind(rng)
 
 
-def _params(config: ExperimentConfig, *allowed) -> dict:
-    _check_keys(config.algorithm_params, allowed, "algorithm_params")
-    return config.algorithm_params
-
-
 def _dim_and_point(env: dict, key: str, first: float):
     """(dim, env[key] as a dim-vector); the default point is first * e_1."""
-    dim = int(env.get("dim", 0))
-    if dim < 1:
-        raise ConfigurationError("environment needs dim >= 1")
-    point = env.get(key)
-    if point is None:
-        point = np.zeros(dim)
-        point[0] = first
-    point = np.asarray(point, dtype=float)
+    dim, point = env["dim"], env[key]
+    point = np.asarray([first] + [0.0] * (dim - 1) if point is None else point, dtype=float)
     if point.shape != (dim,):
-        raise ConfigurationError(f"{key} must be a vector of dim = {dim} entries")
+        raise ConfigurationError(f"environment.{key} must be a vector of dim = {dim} entries")
     return dim, point
 
 
 def _bco_set_and_oracle(config: ExperimentConfig):
-    env = config.environment
-    _check_keys(env, ("kind", "dim", "radius", "x_star", "scale", "drift_norm"), "environment")
-    radius = float(env.get("radius", 1.0))
-    dim, x_star = _dim_and_point(env, "x_star", 0.3 * radius)
-    dset = DecisionSet.ball(radius, dim=dim)
-    kind = env.get("kind", "quadratic")
-    scale = float(env.get("scale", 1.0))
-    if kind == "quadratic":
-        oracle = QuadraticOracle(x_star, dset, scale=scale)
-    elif kind == "affine_quadratic":
-        oracle = AffineQuadraticOracle(
-            x_star, dset, config.horizon,
-            drift_norm=float(env.get("drift_norm", 0.1)),
-            scale=scale, seed=config.base_seed,
-        )
-    else:
-        raise ConfigurationError(f"unknown BCO oracle kind {kind!r}")
-    return dset, oracle
+    env = config.env
+    dim, x_star = _dim_and_point(env, "x_star", 0.3 * env["radius"])
+    dset = DecisionSet.ball(env["radius"], dim=dim)
+    if env["kind"] == "quadratic":
+        return dset, QuadraticOracle(x_star, dset, scale=env["scale"])
+    return dset, AffineQuadraticOracle(x_star, dset, config.horizon, drift_norm=env["drift_norm"],
+                                       scale=env["scale"], seed=config.base_seed)
 
 
 def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    params = _params(config, "mode", "eta", "rho", "xi")
-    mode = params.get("mode", "convex")
-    if mode not in ("convex", "strongly_convex"):
-        raise ConfigurationError("two-point mode must be convex or strongly_convex")
+    params = config.params
     t_config = TwoPointConfig.for_horizon(
         config.privacy, oracle.lipschitz, config.horizon, dset.radius,
-        eta=params.get("eta"), rho=params.get("rho"), xi=params.get("xi"),
+        eta=params["eta"], rho=params["rho"], xi=params["xi"],
     )
-    mu = oracle.mu if mode == "strongly_convex" else 0.0
+    mu = oracle.mu if params["mode"] == "strongly_convex" else 0.0
     learner = TwoPointBandit(dset, t_config.eta, t_config.rho, t_config.xi,
                              _stream(config, rep, "learner"), mu=mu)
     noise_rng = _stream(config, rep, "noise")
@@ -300,13 +343,11 @@ def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
 
 def _one_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    params = _params(config, "eta", "rho", "xi")
     o_config = OnePointConfig(privacy=config.privacy, loss_bound=oracle.bound)
     bound = effective_loss_bound(oracle.bound, o_config.sigma, config.horizon)
-    eta, rho, xi = FkmBandit.default_parameters(dset, config.horizon, bound)
-    eta = params.get("eta", eta)
-    rho = params.get("rho", rho)
-    xi = params.get("xi", xi)
+    schedule = FkmBandit.default_parameters(dset, config.horizon, bound)
+    eta, rho, xi = (default if config.params[key] is None else config.params[key]
+                    for key, default in zip(("eta", "rho", "xi"), schedule))
     learner = FkmBandit(dset, eta, rho, xi, _stream(config, rep, "learner"))
     noise_rng = _stream(config, rep, "noise")
 
@@ -315,38 +356,6 @@ def _one_point_setup(config: ExperimentConfig, rep: int | None, record):
                                noise_rng).true_loss
 
     return step, lambda t: oracle.optimum(t)[1]
-
-
-def _mab_environment(config: ExperimentConfig, rep: int | None):
-    """(environment, the best fixed arm's total loss over each prefix of an
-    adversarial table; None for a stochastic environment)."""
-    env = config.environment
-    _check_keys(
-        env,
-        ("kind", "means", "n_arms", "anchor_loss", "dip_loss", "off_loss",
-         "n_blocks", "best_loss", "gap"),
-        "environment",
-    )
-    kind = env.get("kind", "stochastic")
-    if kind == "stochastic":
-        if "means" not in env:
-            raise ConfigurationError("stochastic MAB needs arm means")
-        return StochasticMab(env["means"], _stream(config, rep, "environment")), None
-    n_arms = int(env.get("n_arms", 0)) or len(env.get("means", []))
-    if n_arms < 2:
-        raise ConfigurationError("adversarial MAB needs n_arms >= 2")
-    if kind == "adversarial_switching":
-        return _switching_environment(
-            n_arms, config.horizon,
-            float(env.get("anchor_loss", 0.45)), float(env.get("dip_loss", 0.44)),
-            float(env.get("off_loss", 0.65)), int(env.get("n_blocks", 10)),
-        )
-    if kind == "adversarial_fixed_gap":
-        return _with_best_prefix(AdversarialMab.fixed_gap(
-            n_arms, config.horizon,
-            best_loss=float(env.get("best_loss", 0.3)), gap=float(env.get("gap", 0.2)),
-        ))
-    raise ConfigurationError(f"unknown MAB environment kind {kind!r}")
 
 
 @lru_cache(maxsize=4)
@@ -369,8 +378,13 @@ def _with_best_prefix(env: AdversarialMab):
 def _mab_setup(config: ExperimentConfig, rep: int | None, record):
     """Stochastic: expected regret per round.  Adversarial: the loss itself,
     less the best fixed arm's loss over each prefix at a checkpoint."""
-    _params(config)
-    env, best_prefix = _mab_environment(config, rep)
+    doc = config.env
+    if doc["kind"] == "stochastic":
+        env, best_prefix = StochasticMab(doc["means"], _stream(config, rep, "environment")), None
+    else:
+        env, best_prefix = _switching_environment(
+            doc["n_arms"], config.horizon, doc["anchor_loss"], doc["dip_loss"], doc["off_loss"],
+            doc["n_blocks"])
     learner = LdpMabLearner(config.privacy, env.k, _stream(config, rep, "learner"),
                             _stream(config, rep, "noise"))
     stochastic = best_prefix is None
@@ -389,20 +403,13 @@ def _mab_setup(config: ExperimentConfig, rep: int | None, record):
 def _bai_setup(config: ExperimentConfig, rep: int | None, record):
     """Bernoulli arms with the given reward means; replicate() runs
     lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
-    _check_keys(config.environment, ("reward_means",), "environment")
-    means = [float(m) for m in config.environment.get("reward_means", ())]
-    if not means or not all(0.0 <= m <= 1.0 for m in means):
-        raise ConfigurationError("BAI needs reward_means, each in [0, 1]")
+    means, params = config.env["reward_means"], config.params
     true_best = int(np.argmax(means))
-    params = _params(config, "gamma", "max_pulls", "eps_lil", "beta_lil", "lam_lil")
-    gamma = float(params.get("gamma", 0.1))
-    max_pulls = int(params.get("max_pulls", config.horizon))
-    if max_pulls < 1:
-        raise ConfigurationError("max_pulls must be >= 1")
-    lil = LilUcbParams(**{key: float(params[key]) for key in ("eps_lil", "beta_lil", "lam_lil")
-                          if key in params})
+    max_pulls = config.horizon if params["max_pulls"] is None else params["max_pulls"]
+    lil = LilUcbParams(params["eps_lil"], params["beta_lil"], params["lam_lil"])
     env_rng = _stream(config, rep, "environment")
-    learner = LdpBaiLearner(config.privacy, len(means), gamma, _stream(config, rep, "noise"), lil)
+    learner = LdpBaiLearner(config.privacy, len(means), params["gamma"],
+                            _stream(config, rep, "noise"), lil)
 
     def replicate() -> dict:
         pulls = 0
@@ -425,30 +432,21 @@ def _bai_setup(config: ExperimentConfig, rep: int | None, record):
 
 
 def _contextual_setup(config: ExperimentConfig, rep: int | None, record, glm: bool):
-    env_doc = config.environment
-    _check_keys(env_doc, ("dim", "n_arms", "theta_star", "link"), "environment")
-    d, theta_star = _dim_and_point(env_doc, "theta_star", 1.0)
-    n_arms = int(env_doc.get("n_arms", 10))
-    params = _params(config, "alpha", "kappa", "zeta", "baseline_lambda")
+    params = config.params
+    d, theta_star = _dim_and_point(config.env, "theta_star", 1.0)
     link = zeta = None
     if glm:
-        link_name = env_doc.get("link", "logistic")
-        if link_name != "logistic":
-            raise ConfigurationError(f"unknown link {link_name!r}")
         link = ctx.logistic_link()
-        zeta = params.get("zeta")
-        zeta = 1.0 / math.sqrt(config.horizon) if zeta is None else float(zeta)
-    alpha = float(params.get("alpha", 0.1))
+        zeta = 1.0 / math.sqrt(config.horizon) if params["zeta"] is None else params["zeta"]
     sigma = (ctx.glm_sigma if glm else ctx.linear_sigma)(config.privacy)
     if config.privacy is None:
-        conf = ctx.BaselineConfidence(
-            d, config.horizon, alpha, lam=float(params.get("baseline_lambda", 1.0)),
-        )
+        conf = ctx.BaselineConfidence(d, config.horizon, params["alpha"],
+                                      lam=params["baseline_lambda"])
     else:
-        conf = ctx.LdpConfidence(sigma, d, config.horizon, alpha,
-                                 kappa=float(params.get("kappa", 1.0)))
-    env = ContextualEnv(theta_star, n_arms, _generator(config, rep, "environment"),
-                        _stream(config, rep, "reward"), link=link)
+        conf = ctx.LdpConfidence(sigma, d, config.horizon, params["alpha"], kappa=params["kappa"])
+    env = ContextualEnv(theta_star, config.env["n_arms"],
+                        _generator(config, rep, "environment"), _stream(config, rep, "reward"),
+                        link=link)
     server = ctx.ServerState(d, conf)
     noise = _stream(config, rep, "noise", ReportNoise)
 
@@ -514,9 +512,11 @@ def run_replication(config: ExperimentConfig, rep: int, record: list | None = No
 
 def default_jobs() -> int:
     env = os.environ.get("LDPBANDITS_JOBS")
-    if env:
-        return max(int(env), 1)
-    return min(os.cpu_count() or 1, 8)
+    if not env:
+        return min(os.cpu_count() or 1, 8)
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise ConfigurationError(f"LDPBANDITS_JOBS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 # The one process pool: (pid, n_jobs, executor).  It is forked at the first

@@ -88,6 +88,19 @@ def test_invalid_config_rejected(tmp_path, runner):
         assert isinstance(result.exception, SystemExit)  # a message, not a traceback
 
 
+@pytest.mark.parametrize("jobs", ["abc", "-3", "0", "1.5"])
+def test_bad_jobs_variable_is_an_error(tmp_path, runner, monkeypatch, jobs):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc()))
+    monkeypatch.setenv("LDPBANDITS_JOBS", jobs)
+    for args in (["run", str(config_path), "-o", str(tmp_path)], ["suite", "9"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert f"Error: LDPBANDITS_JOBS must be an integer >= 1, got {jobs!r}" in result.output
+        assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("text, shown", [
     ("", "line 1: '' is not the header"),
     ("checkpoint,mean_regret,std_regret,n_replications\n10,1.5,0.1,2\n20,2.5\n",

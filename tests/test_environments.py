@@ -72,12 +72,6 @@ class TestAdversarialMab:
         # arm 0 is best over every prefix (cumulative 1.2 vs 1.5 at the end)
         assert best_prefix.tolist() == pytest.approx([0.1, 0.9, 1.2])
 
-    def test_fixed_gap_sequence(self):
-        env = AdversarialMab.fixed_gap(4, 100, best_loss=0.3, gap=0.2)
-        assert np.all(env.table[:, 0] == 0.3) and np.all(env.table[:, 1:] == 0.5)
-        assert env.sample(1, 0) == 0.3
-        assert env.sample(50, 3) == 0.5
-
     def test_switching_alternates_block_winner(self):
         env = AdversarialMab.switching(5, 1000, anchor_loss=0.45, dip_loss=0.44,
                                        off_loss=0.65, n_blocks=10)

@@ -108,42 +108,102 @@ _CONTEXTUAL = {"algorithm": "contextual_linear", "horizon": 100, "replications":
 _MAB = mab_doc(horizon=100)
 
 
-@pytest.mark.parametrize("doc", [
-    dict(_BCO, algorithm="two_point_bco", horizon=1),
-    dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": -1}),
-    dict(_BAI, algorithm_params={"gamma": 2.0}),
-    dict(_CONTEXTUAL, algorithm_params={"alpha": 2.0}),
-    dict(_CONTEXTUAL, algorithm_params={"baseline_lambda": 0}),
-    dict(_BAI, algorithm_params={"max_pulls": 0}),
-    dict(_BAI, environment={"reward_means": [1.5, 0.4]}),
-    dict(_BAI, algorithm_params={"eps_lil": -0.5}),
-    dict(_BAI, algorithm_params={"lam_lil": -1.0}),
-    dict(_CONTEXTUAL, environment={"dim": 2, "theta_star": [1.0, 0.0, 0.0]}),
-    dict(_BCO, algorithm="two_point_bco", horizon=100,
-         environment={"dim": 2, "x_star": [0.3, 0.0, 0.0]}),
-    dict(_BCO, algorithm="two_point_bco", horizon=100, environment={"dim": 0}),
-    dict(_CONTEXTUAL, environment={"dim": 0}),
-    dict(_BCO, algorithm="one_point_bco", horizon=100, environment={"dim": -1}),
-    dict(_BCO, algorithm="one_point_bco", horizon=100, environment={}),
-    dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 3, "n_blocks": 0}),
-    dict(_BCO, algorithm="two_point_bco", horizon=100,
-         environment={"kind": "affine_quadratic", "dim": 2, "drift_norm": -1}),
-    dict(_MAB, privacy={"epsilon": 1.0}),
-    dict(_MAB, environment={"kind": "stochastic", "means": []}),
-    dict(_BAI, horizon="ten"),
-    dict(_BAI, environment=5),
-    dict(_BCO, algorithm="two_point_bco", horizon=100, environment={"dim": "three"}),
-    dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": "fast"}),
+_NAN, _INF = float("nan"), float("inf")
+_PRIVATE = {"epsilon": 1.0, "delta": 0.01}
+_TWO_POINT = dict(_BCO, algorithm="two_point_bco", horizon=100)
+_GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
+
+
+# (document, the section.field its error names; None where a constructor's
+# message speaks for it)
+@pytest.mark.parametrize("doc, field", [
+    (dict(_BCO, algorithm="two_point_bco", horizon=1), None),
+    (dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": -1}), None),
+    (dict(_BAI, algorithm_params={"gamma": 2.0}), None),
+    (dict(_CONTEXTUAL, algorithm_params={"alpha": 2.0}), None),
+    (dict(_CONTEXTUAL, algorithm_params={"baseline_lambda": 0}), None),
+    (dict(_BAI, algorithm_params={"max_pulls": 0}), "algorithm_params.max_pulls"),
+    (dict(_BAI, environment={"reward_means": [1.5, 0.4]}), "environment.reward_means"),
+    (dict(_BAI, algorithm_params={"eps_lil": -0.5}), None),
+    (dict(_BAI, algorithm_params={"lam_lil": -1.0}), None),
+    (dict(_CONTEXTUAL, environment={"dim": 2, "theta_star": [1.0, 0.0, 0.0]}),
+     "environment.theta_star"),
+    (dict(_TWO_POINT, environment={"dim": 2, "x_star": [0.3, 0.0, 0.0]}), "environment.x_star"),
+    (dict(_TWO_POINT, environment={"dim": 0}), "environment.dim"),
+    (dict(_CONTEXTUAL, environment={"dim": 0}), "environment.dim"),
+    (dict(_BCO, algorithm="one_point_bco", horizon=100, environment={"dim": -1}),
+     "environment.dim"),
+    (dict(_BCO, algorithm="one_point_bco", horizon=100, environment={}), "environment.dim"),
+    (dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 3, "n_blocks": 0}), None),
+    (dict(_TWO_POINT, environment={"kind": "affine_quadratic", "dim": 2, "drift_norm": -1}),
+     None),
+    (dict(_MAB, privacy={"epsilon": 1.0}), "privacy.delta"),
+    (dict(_MAB, environment={"kind": "stochastic", "means": []}), "environment.means"),
+    (dict(_BAI, horizon="ten"), "horizon"),
+    (dict(_BAI, environment=5), "environment"),
+    (dict(_TWO_POINT, environment={"dim": "three"}), "environment.dim"),
+    (dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": "fast"}),
+     "algorithm_params.eta"),
+    # accepted and run wrong before the schema table
+    (dict(_GLM, algorithm_params={"kappa": _NAN}), "algorithm_params.kappa"),
+    (dict(_GLM, algorithm_params={"zeta": -1}), "algorithm_params.zeta"),
+    (dict(_CONTEXTUAL, environment={"dim": 2, "n_arms": 2.7}), "environment.n_arms"),
+    (dict(_MAB, checkpoints=3.9), "checkpoints"),
+    (dict(_BAI, horizon=100.9), "horizon"),
+    (dict(_BAI, replications=True), "replications"),
+    (dict(_BAI, base_seed=1.5), "base_seed"),
+    (dict(_TWO_POINT, environment={"dim": True}), "environment.dim"),
+    (dict(_CONTEXTUAL, environment={"dim": 2, "theta_star": [0.5, _NAN]}),
+     "environment.theta_star"),
+    # accepted, then failed mid-run
+    (dict(_TWO_POINT, algorithm_params={"eta": _NAN}), "algorithm_params.eta"),
+    (dict(_TWO_POINT, environment={"dim": 2, "scale": _INF}), "environment.scale"),
+    (dict(_BAI, base_seed=-1), "base_seed"),
+    # accepted although not an object
+    (dict(_TWO_POINT, environment=[["dim", 2]]), "environment"),
+    (dict(_TWO_POINT, algorithm_params=[["mode", "convex"]]), "algorithm_params"),
+    # a key of another kind or privacy mode, accepted and ignored
+    (dict(_TWO_POINT, environment={"dim": 2, "drift_norm": 0.2}), "environment.drift_norm"),
+    (dict(_CONTEXTUAL, environment={"dim": 2, "link": "logistic"}), "environment.link"),
+    (dict(_CONTEXTUAL, algorithm_params={"zeta": 0.1}), "algorithm_params.zeta"),
+    (dict(_CONTEXTUAL, algorithm_params={"kappa": 1.0}), "algorithm_params.kappa"),
+    (dict(_GLM, algorithm_params={"baseline_lambda": 1.0}), "algorithm_params.baseline_lambda"),
+    (dict(_MAB, environment={"kind": "stochastic", "means": [0.5, 0.3], "n_blocks": 4}),
+     "environment.n_blocks"),
+    (dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 2, "means": [0.5, 0.3]}),
+     "environment.means"),
+    (dict(_MAB, environment={"kind": "adversarial_fixed_gap", "n_arms": 2}), "environment.kind"),
+    # rejected with another field's message
+    (dict(_TWO_POINT, algorithm_params={"rho": _NAN}), "algorithm_params.rho"),
+    (dict(_TWO_POINT, environment={"dim": 2, "radius": _NAN}), "environment.radius"),
 ], ids=["two_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
         "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
         "bai_negative_eps", "bai_negative_lam", "theta_star_longer_than_dim",
         "x_star_longer_than_dim", "bco_dim_0", "contextual_dim_0", "bco_dim_negative",
         "bco_no_dim", "switching_no_blocks", "affine_negative_drift", "privacy_no_delta",
         "mab_no_means", "horizon_not_a_number", "environment_not_an_object",
-        "dim_not_a_number", "eta_not_a_number"])
-def test_from_dict_rejects_what_a_replication_rejects(doc):
-    with pytest.raises(ConfigurationError):
+        "dim_not_a_number", "eta_not_a_number",
+        "kappa_nan", "zeta_negative", "n_arms_fraction", "checkpoints_fraction",
+        "horizon_fraction", "replications_bool", "base_seed_fraction", "dim_bool",
+        "theta_star_nan", "eta_nan", "scale_infinite", "base_seed_negative",
+        "environment_pairs", "algorithm_params_pairs", "drift_norm_on_quadratic",
+        "link_on_linear", "zeta_on_linear", "kappa_without_privacy",
+        "baseline_lambda_with_privacy", "n_blocks_on_stochastic", "means_on_switching",
+        "fixed_gap_kind", "rho_nan", "radius_nan"])
+def test_from_dict_rejects_what_a_replication_rejects(doc, field):
+    with pytest.raises(ConfigurationError) as err:
         ExperimentConfig.from_dict(doc)
+    if field is not None:
+        assert field in str(err.value)
+    # no TypeError or ValueError is wrapped: the schema names every wrong type
+    assert err.value.__cause__ is None
+
+
+def test_integral_float_horizon_is_an_int_with_the_same_digest():
+    config = ExperimentConfig.from_dict(mab_doc(horizon=1e3, base_seed=1,
+                                                privacy={"epsilon": 2, "delta": 0.1}))
+    assert config.horizon == 1000 and type(config.horizon) is int
+    assert config.digest() == "fd327a08972ca974654e24f2094074e4ca807553045a5d5f5b725599d47babfa"
 
 
 def test_from_dict_loads_no_sampler():
@@ -382,8 +442,11 @@ class TestSwitchingTable:
         config = ExperimentConfig.from_dict(dict(SWITCHING_DOC, replications=3))
         run_experiment(config, n_jobs=1)
         run_experiment(config, n_jobs=1)
-        assert len(builds) == 1
-        env, best_prefix = harness._mab_environment(config, 0)
+        doc = config.env
+        env, best_prefix = harness._switching_environment(
+            doc["n_arms"], config.horizon, doc["anchor_loss"], doc["dip_loss"], doc["off_loss"],
+            doc["n_blocks"])
+        assert len(builds) == 1  # the runs' table, from the cache
         assert not env.table.flags.writeable and not best_prefix.flags.writeable
         harness._switching_environment.cache_clear()
 
@@ -507,3 +570,67 @@ class TestTrajectoryDump:
 
         with pytest.raises(ConfigurationError):
             run_replication(ExperimentConfig.from_dict(mab_doc()), 0, record=[])
+
+
+# ---------------------------------------------------------------------------
+# the README's config schema table is harness.SCHEMA, row for row
+
+_README_TYPES = {int: "integer", float: "number", list: "list of numbers", str: "string",
+                 dict: "object"}
+
+
+def _readme_line(row) -> str:
+    """The README's rendering of a SCHEMA row."""
+    name = f"{row.section}.{row.name}".lstrip(".")
+    algorithms = "all" if row.algorithms is None else ", ".join(f"`{a}`" for a in row.algorithms)
+    default = "required" if row.default is harness.REQUIRED else json.dumps(row.default)
+    if row.type is str:
+        ranged = ", ".join(f"`{choice}`" for choice in row.range)
+    else:
+        ranged = row.range or ""
+    cells = [f"`{name}`", algorithms, "" if row.case is None else f"`{row.case}`",
+             _README_TYPES[row.type], default, ranged]
+    return "| " + " | ".join(cells) + " |"
+
+
+def _readme_schema_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Config schema\n")[1].split("\n## ")[0]
+    return [line for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_schema_table_is_the_schema():
+    assert _readme_schema_lines() == [_readme_line(row) for row in harness.SCHEMA]
+
+
+# a valid value for each required field, and the kinds of each algorithm
+_REQUIRED_VALUES = {"dim": 2, "means": [0.5, 0.3], "n_arms": 3, "reward_means": [0.9, 0.4]}
+_KINDS = {"two_point_bco": ("quadratic", "affine_quadratic"),
+          "one_point_bco": ("quadratic", "affine_quadratic"),
+          "mab": ("stochastic", "adversarial_switching"), "bai": (None,),
+          "contextual_linear": (None,), "contextual_glm": (None,)}
+
+
+@pytest.mark.parametrize("algorithm, kind, mode", [
+    (algorithm, kind, mode) for algorithm, kinds in _KINDS.items() for kind in kinds
+    for mode in ("private", "non_private")])
+def test_readme_fields_are_the_fields_a_config_takes(algorithm, kind, mode):
+    # every field the README lists for this algorithm, kind and mode, at its
+    # default or a valid value, is accepted; the checked sections hold
+    # exactly those fields, and one more key is rejected as unknown
+    listed = {"environment": {}, "algorithm_params": {}}
+    for line in _readme_schema_lines():
+        name, algorithms, case, _, default = (cell.strip(" `") for cell in line.split("|")[1:6])
+        section, _, field = name.rpartition(".")
+        holds = algorithms == "all" or algorithm in algorithms.replace("`", "").split(", ")
+        if section in listed and holds and case in ("", kind, mode):
+            value = _REQUIRED_VALUES[field] if default == "required" else json.loads(default)
+            listed[section][field] = kind if field == "kind" else value
+    doc = {"algorithm": algorithm, "horizon": 100, "replications": 1, "base_seed": 1,
+           "privacy": {"epsilon": 1.0, "delta": 0.01} if mode == "private" else None, **listed}
+    config = ExperimentConfig.from_dict(doc)
+    assert set(config.env) == set(listed["environment"])
+    assert set(config.params) == set(listed["algorithm_params"])
+    for section in listed:
+        with pytest.raises(ConfigurationError, match=f"unknown config keys: {section}.extra"):
+            ExperimentConfig.from_dict(dict(doc, **{section: dict(doc[section], extra=1)}))
