@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import click
 
-from . import harness, suites
+from . import harness
 from .errors import LdpBanditsError
 from .harness import ExperimentConfig, emit, fit_slope, output_dir, parse_trace_csv
 
@@ -82,6 +82,7 @@ def suite(ids, jobs):
 
     Exits nonzero if any executed criterion fails.
     """
+    from . import suites  # only this command loads the acceptance suite
     jobs = harness.default_jobs() if jobs is None else jobs  # a bad LDPBANDITS_JOBS fails first
     try:
         results = suites.run_suite(ids or ("all",), n_jobs=jobs)

@@ -14,14 +14,12 @@ environments; values that crossed the privacy barrier are tainted
 
 from __future__ import annotations
 
-import hashlib
+import atexit
 import json
 import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
@@ -237,6 +235,7 @@ class ExperimentConfig:
         return dict(doc, privacy=self.privacy and asdict(self.privacy))
 
     def digest(self) -> str:
+        import hashlib
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -511,8 +510,11 @@ def run_replication(config: ExperimentConfig, rep: int, record: list | None = No
 
 
 def default_jobs() -> int:
+    """LDPBANDITS_JOBS if set, else the CPUs this process may run on, at most 8."""
     env = os.environ.get("LDPBANDITS_JOBS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return min(len(os.sched_getaffinity(0)), 8)
         return min(os.cpu_count() or 1, 8)
     if not (env.strip().isdecimal() and int(env) >= 1):
         raise ConfigurationError(f"LDPBANDITS_JOBS must be an integer >= 1, got {env!r}")
@@ -522,12 +524,20 @@ def default_jobs() -> int:
 # The one process pool: (pid, n_jobs, executor).  It is forked at the first
 # parallel call and reused by every later one with the same job count; the
 # pid keeps a forked child off its parent's pool.  concurrent.futures' exit
-# hook joins the workers when the interpreter exits.
-_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
+# hook joins the workers at exit.  Both load at the first parallel call, and
+# _drop_pool frees the executor before module teardown clears their globals.
+_POOL: tuple | None = None
 
 
-def _executor(n_jobs: int) -> ProcessPoolExecutor:
+@atexit.register
+def _drop_pool():
     global _POOL
+    _POOL = None
+
+
+def _executor(n_jobs: int):
+    global _POOL
+    from concurrent.futures import ProcessPoolExecutor
     pid = os.getpid()
     if _POOL is not None and _POOL[:2] == (pid, n_jobs):
         return _POOL[2]
@@ -552,6 +562,7 @@ def _map_replications(fn, args, n_jobs: int | None) -> list:
     args = list(args)
     if n_jobs == 1 or len(args) < 2:
         return [fn(a) for a in args]
+    from concurrent.futures.process import BrokenProcessPool
     pool = _executor(n_jobs)
     try:
         return list(pool.map(fn, args, chunksize=max(len(args) // (4 * n_jobs), 1)))

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: run, slope, suite plumbing, env-var override."""
 
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ldpbandits
 from ldpbandits.cli import main
 from ldpbandits.harness import OUTPUT_DIR_ENV
 
@@ -99,6 +104,26 @@ def test_bad_jobs_variable_is_an_error(tmp_path, runner, monkeypatch, jobs):
         assert f"Error: LDPBANDITS_JOBS must be an integer >= 1, got {jobs!r}" in result.output
         assert isinstance(result.exception, SystemExit)  # a message, not a traceback
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_run_and_slope_do_not_load_the_suite(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc()))
+    script = f"""
+        import sys
+        from click.testing import CliRunner
+        from ldpbandits.cli import main
+        for args in (["run", {str(config_path)!r}, "-o", {str(tmp_path)!r}, "-j", "1"],
+                     ["slope", {str(tmp_path / "trace.csv")!r}]):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+        sys.exit("ldpbandits.suites" in sys.modules and "ldpbandits.suites is loaded")
+    """
+    src = str(Path(ldpbandits.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("text, shown", [

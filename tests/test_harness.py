@@ -208,7 +208,8 @@ def test_integral_float_horizon_is_an_int_with_the_same_digest():
 
 def test_from_dict_loads_no_sampler():
     # the replication from_dict builds has no streams: checking a config
-    # draws nothing and leaves numpy.random out of the process
+    # draws nothing and leaves numpy.random out of the process; it forks and
+    # hashes nothing either, so the process pool and hashlib stay unloaded
     affine = {"dim": 2, "kind": "affine_quadratic"}
     docs = [dict(_BCO, algorithm="two_point_bco", horizon=100),
             dict(_BCO, algorithm="one_point_bco", horizon=100),
@@ -219,7 +220,8 @@ def test_from_dict_loads_no_sampler():
         from ldpbandits import ExperimentConfig
         for doc in {docs!r}:
             ExperimentConfig.from_dict(doc)
-        sys.exit("numpy.random" in sys.modules)
+        unloaded = ("numpy.random", "concurrent.futures.process", "multiprocessing", "hashlib")
+        sys.exit(", ".join(name for name in unloaded if name in sys.modules) or 0)
     """)
     assert proc.returncode == 0, proc.stderr
 
@@ -348,6 +350,22 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+class TestDefaultJobs:
+    def test_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("LDPBANDITS_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness.default_jobs() == 1
+        monkeypatch.setenv("LDPBANDITS_JOBS", "3")  # the variable still comes first
+        assert harness.default_jobs() == 3
+
+    def test_cpu_count_capped_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delenv("LDPBANDITS_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness.default_jobs() == 8
 
 
 class TestReplicationPool:
