@@ -13,7 +13,6 @@ from .blackbox import (
     LilUcbParams,
     TsallisInf,
     TwoPointBandit,
-    project,
 )
 from .contextual import (
     BaselineConfidence,
@@ -33,7 +32,6 @@ from .contextual import (
 )
 from .environments import (
     AdversarialMab,
-    AffineQuadraticOracle,
     ContextualEnv,
     QuadraticOracle,
     StochasticMab,

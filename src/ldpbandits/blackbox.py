@@ -74,12 +74,6 @@ def _norm(v) -> float:
     return math.sqrt(total)
 
 
-def project(point, dset: DecisionSet) -> list[float]:
-    """Euclidean projection of point (a sequence of floats) onto dset, as a
-    list of floats.  Idempotent."""
-    return _project([float(a) for a in point], dset.radius)
-
-
 def _project(p: list[float], r: float) -> list[float]:
     """The projection of p onto the ball of radius r about the origin; p
     itself when it lies inside."""

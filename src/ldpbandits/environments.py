@@ -8,12 +8,11 @@ feed the noise calibrations, so they are enforced rather than estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from operator import sub
 
 import numpy as np
 
-from .blackbox import DecisionSet, _dot, _norm, project
+from .blackbox import DecisionSet, _dot, _norm
 from .errors import ConfigurationError, ContractViolation
 from .mechanisms import DrawAhead, _block_rounds
 
@@ -94,7 +93,7 @@ class AdversarialMab:
 
 
 class QuadraticOracle:
-    """f_t(x) = scale * |x - x_star|^2, constant over rounds.
+    """f(x) = scale * |x - x_star|^2, the same loss in every round.
 
     B, G and the strong-convexity modulus are exact on the given set.  Values
     follow blackbox's fixed rule: elementwise differences, then the dot
@@ -115,72 +114,16 @@ class QuadraticOracle:
         self.lipschitz = 2.0 * self.scale * reach
         self.mu = 2.0 * self.scale
 
-    def value(self, t: int, x) -> float:
-        """f_t at x, a sequence of floats."""
+    def value(self, x) -> float:
+        """f at x, a sequence of floats."""
         if not self.dset.contains(x, tol=1e-7):
             raise ContractViolation("query outside the decision set")
         diff = list(map(sub, x, self._x_star))
         return self.scale * _dot(diff, diff)
 
     def optimum(self, horizon: int) -> tuple[np.ndarray, float]:
-        """(argmin, minimal cumulative loss) of sum_t f_t over the set."""
+        """(argmin, minimal cumulative loss) of horizon rounds of f over the set."""
         return self.x_star.copy(), 0.0
-
-
-class AffineQuadraticOracle:
-    """f_t(x) = scale * |x - x_star|^2 + a_t . x with a small rotating drift.
-
-    The drift directions are fixed before the game (oblivious); the best
-    fixed point in hindsight has the closed form
-    x_star - sum(a_t) / (2 T scale), projected onto the set.
-    """
-
-    def __init__(self, x_star, dset: DecisionSet, horizon: int,
-                 drift_norm: float = 0.1, scale: float = 1.0, seed: int = 0):
-        if drift_norm < 0:
-            # a negative norm would shrink the declared bound below the real one
-            raise ConfigurationError("drift_norm must be >= 0")
-        self.base = QuadraticOracle(x_star, dset, scale)
-        self.dset = dset
-        self.scale = float(scale)
-        self.x_star = self.base.x_star
-        self._x_star = self.base._x_star
-        self.horizon = horizon
-        self._drift_key = (seed, horizon, self.x_star.size, float(drift_norm))
-        self.bound = self.base.bound + drift_norm * dset.radius
-        self.lipschitz = self.base.lipschitz + drift_norm
-        self.mu = self.base.mu
-
-    @cached_property
-    def drifts(self) -> np.ndarray:
-        """The (horizon, dim) drift table, drawn at the first value or
-        optimum: building an oracle to check a config draws nothing."""
-        return _drift_table(*self._drift_key)
-
-    def value(self, t: int, x) -> float:
-        """f_t at x, a sequence of floats: the quadratic's value plus the
-        dot a_t . x summed left to right."""
-        return self.base.value(t, x) + _dot(self.drifts[t - 1].tolist(), x)
-
-    def optimum(self, horizon: int) -> tuple[np.ndarray, float]:
-        a_sum = self.drifts[:horizon].sum(axis=0)
-        x_opt = project(self.x_star - a_sum / (2.0 * horizon * self.scale), self.dset)
-        diff = list(map(sub, x_opt, self._x_star))
-        total = horizon * self.scale * _dot(diff, diff) + _dot(a_sum.tolist(), x_opt)
-        return np.array(x_opt), total
-
-
-@lru_cache(maxsize=1)
-def _drift_table(seed: int, horizon: int, dim: int, drift_norm: float) -> np.ndarray:
-    """Unit Gaussian directions scaled to drift_norm, one row per round. Only
-    the last parameter set's table is kept (40 MB at T = 1e6, d = 5): every
-    replication of a config asks for the same one and shares it, so it is
-    read-only."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    raw = rng.standard_normal((horizon, dim))
-    drifts = drift_norm * raw / np.linalg.norm(raw, axis=1)[:, None]
-    drifts.flags.writeable = False
-    return drifts
 
 
 # ---------------------------------------------------------------------------

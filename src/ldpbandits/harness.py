@@ -29,7 +29,6 @@ from . import contextual as ctx
 from .blackbox import DecisionSet, FkmBandit, LilUcbParams, TwoPointBandit
 from .environments import (
     AdversarialMab,
-    AffineQuadraticOracle,
     ContextualEnv,
     QuadraticOracle,
     StochasticMab,
@@ -101,12 +100,11 @@ SCHEMA = [_Field(*row) for row in [
     ("", None, None, "checkpoints", int, 20, ">= 1"),
     ("privacy", None, None, "epsilon", float, REQUIRED, None),
     ("privacy", None, None, "delta", float, REQUIRED, None),
-    ("environment", _BCO, None, "kind", str, "quadratic", ("quadratic", "affine_quadratic")),
+    ("environment", _BCO, None, "kind", str, "quadratic", ("quadratic",)),
     ("environment", _BCO + _CONTEXTUAL, None, "dim", int, REQUIRED, ">= 1"),
     ("environment", _BCO, None, "radius", float, 1.0, None),
     ("environment", _BCO, None, "x_star", list, None, None),
     ("environment", _BCO, None, "scale", float, 1.0, None),
-    ("environment", _BCO, "affine_quadratic", "drift_norm", float, 0.1, None),
     ("environment", ("mab",), None, "kind", str, "stochastic", ("stochastic", _SWITCHING)),
     ("environment", ("mab",), "stochastic", "means", list, REQUIRED, None),
     ("environment", ("mab",), _SWITCHING, "n_arms", int, REQUIRED, None),
@@ -124,7 +122,6 @@ SCHEMA = [_Field(*row) for row in [
     ("algorithm_params", _BCO, None, "rho", float, None, None),
     ("algorithm_params", _BCO, None, "xi", float, None, None),
     ("algorithm_params", ("bai",), None, "gamma", float, 0.1, None),
-    ("algorithm_params", ("bai",), None, "max_pulls", int, None, ">= 1"),
     ("algorithm_params", ("bai",), None, "eps_lil", float, LilUcbParams.eps_lil, None),
     ("algorithm_params", ("bai",), None, "beta_lil", float, LilUcbParams.beta_lil, None),
     ("algorithm_params", ("bai",), None, "lam_lil", float, LilUcbParams.lam_lil, None),
@@ -315,10 +312,7 @@ def _bco_set_and_oracle(config: ExperimentConfig):
     env = config.env
     dim, x_star = _dim_and_point(env, "x_star", 0.3 * env["radius"])
     dset = DecisionSet.ball(env["radius"], dim=dim)
-    if env["kind"] == "quadratic":
-        return dset, QuadraticOracle(x_star, dset, scale=env["scale"])
-    return dset, AffineQuadraticOracle(x_star, dset, config.horizon, drift_norm=env["drift_norm"],
-                                       scale=env["scale"], seed=config.base_seed)
+    return dset, QuadraticOracle(x_star, dset, scale=env["scale"])
 
 
 def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
@@ -334,7 +328,7 @@ def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
     noise_rng = _stream(config, rep, "noise")
 
     def step(t):
-        result = two_point_round(learner, lambda x: oracle.value(t, x), t_config, noise_rng)
+        result = two_point_round(learner, oracle.value, t_config, noise_rng)
         return 0.5 * (result.true_loss_1 + result.true_loss_2)
 
     return step, lambda t: oracle.optimum(t)[1]
@@ -351,8 +345,7 @@ def _one_point_setup(config: ExperimentConfig, rep: int | None, record):
     noise_rng = _stream(config, rep, "noise")
 
     def step(t):
-        return one_point_round(learner, lambda x: oracle.value(t, x), o_config,
-                               noise_rng).true_loss
+        return one_point_round(learner, oracle.value, o_config, noise_rng).true_loss
 
     return step, lambda t: oracle.optimum(t)[1]
 
@@ -401,10 +394,9 @@ def _mab_setup(config: ExperimentConfig, rep: int | None, record):
 
 def _bai_setup(config: ExperimentConfig, rep: int | None, record):
     """Bernoulli arms with the given reward means; replicate() runs
-    lil'UCB's stop-rule loop: pull until the rule stops or max_pulls."""
-    means, params = config.env["reward_means"], config.params
+    lil'UCB's stop-rule loop: pull until the rule stops or horizon pulls."""
+    means, params, max_pulls = config.env["reward_means"], config.params, config.horizon
     true_best = int(np.argmax(means))
-    max_pulls = config.horizon if params["max_pulls"] is None else params["max_pulls"]
     lil = LilUcbParams(params["eps_lil"], params["beta_lil"], params["lam_lil"])
     env_rng = _stream(config, rep, "environment")
     learner = LdpBaiLearner(config.privacy, len(means), params["gamma"],

@@ -15,8 +15,8 @@ from ldpbandits import (
     TsallisInf,
     TwoPointBandit,
     derive_rng,
-    project,
 )
+from ldpbandits.blackbox import _project
 
 UNIT_BALL_2D = DecisionSet.ball(1.0, dim=2)
 
@@ -39,34 +39,32 @@ class TestDecisionSet:
 
 class TestProject:
     def test_interior_point_unchanged(self):
-        p = np.array([0.2, 0.1])
-        assert np.array_equal(project(p, UNIT_BALL_2D), p)
+        p = [0.2, 0.1]
+        assert _project(p, 1.0) is p
 
     def test_radial_scaling(self):
-        out = project(np.array([3.0, 0.0]), UNIT_BALL_2D)
-        assert np.allclose(out, [1.0, 0.0])
+        assert np.allclose(_project([3.0, 0.0], 1.0), [1.0, 0.0])
 
     def test_shrunken_scaling(self):
         # the learners project onto (1 - xi) * X, here X = the unit ball, xi = 0.5
-        out = project(np.array([3.0, 0.0]), DecisionSet.ball(0.5, dim=2))
-        assert np.allclose(out, [0.5, 0.0])
+        assert np.allclose(_project([3.0, 0.0], 0.5), [0.5, 0.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        ball = DecisionSet.ball(0.7, dim=2)
         for _ in range(50):
-            p = rng.normal(0, 2, 2)
-            once = project(p, ball)
-            assert np.allclose(project(once, ball), once, atol=1e-15)
+            once = _project(rng.normal(0, 2, 2).tolist(), 0.7)
+            assert np.allclose(_project(once, 0.7), once, atol=1e-15)
 
-    @pytest.mark.parametrize("dset", [DecisionSet.ball(1.5, dim=3)])
+    @pytest.mark.parametrize("dset", [DecisionSet.ball(1.5, dim=3), DecisionSet.ball(0.5, dim=2),
+                                      DecisionSet.ball(2.0, dim=5)])
     def test_projection_optimality(self, dset):
-        # the projection is closer to p than any feasible point
+        # the projection onto the ball is closer to p than any feasible point
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            p = rng.normal(0, 3, 3)
-            proj = project(p, dset)
-            q = project(rng.normal(0, 3, 3), dset)  # a feasible point
+            p = rng.normal(0, 3, dset.dim)
+            proj = np.array(_project(p.tolist(), dset.radius))
+            # a feasible point
+            q = np.array(_project(rng.normal(0, 3, dset.dim).tolist(), dset.radius))
             assert np.linalg.norm(proj - p) <= np.linalg.norm(q - p) + 1e-9
 
 

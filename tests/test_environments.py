@@ -7,7 +7,6 @@ import pytest
 
 from ldpbandits import (
     AdversarialMab,
-    AffineQuadraticOracle,
     ConfigurationError,
     ContextualEnv,
     ContractViolation,
@@ -115,17 +114,17 @@ class TestQuadraticOracle:
         self.oracle = QuadraticOracle(np.zeros(2), self.dset)
 
     def test_minimum_value(self):
-        assert self.oracle.value(1, np.zeros(2)) == 0.0
+        assert self.oracle.value(np.zeros(2)) == 0.0
 
     def test_hand_value(self):
-        assert self.oracle.value(1, np.array([0.6, 0.8])) == pytest.approx(1.0)
+        assert self.oracle.value(np.array([0.6, 0.8])) == pytest.approx(1.0)
 
     def test_bound_sweep(self):
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             x = rng.normal(0, 1, 2)
             x = x / max(np.linalg.norm(x), 1.0)
-            assert abs(self.oracle.value(1, x)) <= self.oracle.bound + 1e-12
+            assert abs(self.oracle.value(x)) <= self.oracle.bound + 1e-12
 
     def test_gradient_bound_on_set(self):
         # |grad f| = 2 |x - x*| <= lipschitz everywhere on the set
@@ -138,53 +137,46 @@ class TestQuadraticOracle:
 
     def test_infeasible_query_rejected(self):
         with pytest.raises(ContractViolation):
-            self.oracle.value(1, np.array([2.0, 0.0]))
+            self.oracle.value(np.array([2.0, 0.0]))
 
     def test_optimum(self):
         x_opt, best = self.oracle.optimum(100)
         assert np.array_equal(x_opt, np.zeros(2))
         assert best == 0.0
 
-
-class TestAffineQuadraticOracle:
-    def test_bounds_hold(self):
-        dset = DecisionSet.ball(1.0, dim=3)
-        oracle = AffineQuadraticOracle(np.array([0.2, 0.0, 0.0]), dset, horizon=500,
-                                       drift_norm=0.1, seed=3)
+    def test_bounds_hold_off_center(self):
+        # |f| <= bound on the whole set with the minimizer off the origin
+        oracle = QuadraticOracle(np.array([0.2, 0.0, 0.0]), DecisionSet.ball(1.0, dim=3),
+                                 scale=2.0)
         rng = np.random.default_rng(2)
-        for t in range(1, 501):
+        for _ in range(500):
             x = rng.normal(0, 1, 3)
             x = x / max(np.linalg.norm(x), 1.0)
-            assert abs(oracle.value(t, x)) <= oracle.bound + 1e-12
+            assert abs(oracle.value(x)) <= oracle.bound + 1e-12
+
+    def test_bound_attained(self):
+        # the bound is exact: the boundary point opposite x_star reaches it
+        oracle = QuadraticOracle(np.array([0.3, 0.4]), self.dset, scale=1.5)
+        far = -oracle.x_star / np.linalg.norm(oracle.x_star)
+        assert oracle.value(far) == pytest.approx(oracle.bound)
 
     def test_optimum_is_prefix_minimizer(self):
-        dset = DecisionSet.ball(1.0, dim=2)
-        oracle = AffineQuadraticOracle(np.zeros(2), dset, horizon=50, drift_norm=0.05, seed=1)
+        oracle = QuadraticOracle(np.array([0.1, -0.3]), self.dset)
         x_opt, best = oracle.optimum(50)
+        assert 50 * oracle.value(x_opt) == best
         # compare against a dense grid search
         grid = np.linspace(-1, 1, 101)
-        vals = []
-        for a in grid:
-            for b in grid:
-                x = np.array([a, b])
-                if np.linalg.norm(x) <= 1.0:
-                    vals.append(sum(oracle.value(t, x) for t in range(1, 51)))
-        assert best <= min(vals) + 1e-6
+        vals = [50 * oracle.value(np.array([a, b])) for a in grid for b in grid
+                if np.linalg.norm([a, b]) <= 1.0]
+        assert best <= min(vals) + 1e-12
 
-    def test_oblivious_sequence_fixed_by_seed(self):
-        dset = DecisionSet.ball(1.0, dim=2)
-        a = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=5)
-        b = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=5)
-        assert np.array_equal(a.drifts, b.drifts)
+    def test_minimizer_outside_set_rejected(self):
+        with pytest.raises(ConfigurationError):
+            QuadraticOracle(np.array([1.5, 0.0]), self.dset)
 
-    def test_drift_table_drawn_once_and_read_only(self):
-        dset = DecisionSet.ball(1.0, dim=2)
-        a = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6)
-        b = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6)
-        assert a.drifts is b.drifts
-        assert not a.drifts.flags.writeable
-        other = AffineQuadraticOracle(np.zeros(2), dset, horizon=10, seed=6, drift_norm=0.2)
-        assert other.drifts is not a.drifts
+    def test_nonpositive_scale_rejected(self):
+        with pytest.raises(ConfigurationError):
+            QuadraticOracle(np.zeros(2), self.dset, scale=0.0)
 
 
 def world(theta_star, n_arms, seed, link=None) -> ContextualEnv:

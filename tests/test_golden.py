@@ -19,7 +19,7 @@ be explained where it is made, and the digest recomputed with
 `python -m tests.test_golden` from the repository root.
 
 Which digests do not depend on the host's CPU: the context-free ones (BCO,
-MAB, BAI and the affine oracle) and the contextual environment's.  They are
+MAB and BAI) and the contextual environment's.  They are
 recomputed in subprocesses that force other BLAS kernels, NumPy SIMD loops
 and libm variants, and must come out the same.  The full contextual digests
 (configs, criteria 6-8, multi-block, trajectory and coverage) are not yet
@@ -129,21 +129,6 @@ def test_golden_digest(name, tmp_path):
     assert emitted_digest(_doc(name), tmp_path) == GOLDEN[name]
 
 
-# A BCO run on the drifting oracle, which no config or criterion runs: its
-# drift table is drawn once per process and shared by every replication.
-AFFINE_DOC = {
-    "algorithm": "one_point_bco", "horizon": HORIZON, "replications": REPLICATIONS,
-    "base_seed": 30_915,
-    "environment": {"kind": "affine_quadratic", "dim": 3, "drift_norm": 0.1},
-    "privacy": {"epsilon": 1.0, "delta": 1e-2},
-}
-AFFINE_GOLDEN = "3d57d1cf9b89bff060e882adeda39714a0af1e191898e6b126d02568ed36c34f"
-
-
-def test_affine_digest(tmp_path):
-    assert emitted_digest(AFFINE_DOC, tmp_path) == AFFINE_GOLDEN
-
-
 # ---------------------------------------------------------------------------
 # the contextual environment alone
 #
@@ -213,9 +198,7 @@ def host_independent_digests() -> dict:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = {name: emitted_digest(_doc(name), Path(tmp)) for name in HOST_INDEPENDENT}
-        out["affine"] = emitted_digest(AFFINE_DOC, Path(tmp))
-    return out
+        return {name: emitted_digest(_doc(name), Path(tmp)) for name in HOST_INDEPENDENT}
 
 
 def _openblas_dynamic_arch() -> str | None:
@@ -284,7 +267,6 @@ def digests_under(variant: str, function: str) -> dict:
 @pytest.mark.parametrize("variant", sorted(FORCED_VARIANTS))
 def test_context_free_digests_under_forced_cpu_variant(variant):
     expected = {name: GOLDEN[name] for name in HOST_INDEPENDENT}
-    expected["affine"] = AFFINE_GOLDEN
     assert digests_under(variant, "host_independent_digests") == expected
 
 
@@ -423,7 +405,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(GOLDEN):
             print(f'    "{key}": "{emitted_digest(_doc(key), Path(tmp))}",')
-        print(f'AFFINE_GOLDEN = "{emitted_digest(AFFINE_DOC, Path(tmp))}"')
         for key in sorted(MULTI_BLOCK_GOLDEN):
             print(f'    "{key}": "{emitted_digest(_multi_block_doc(key), Path(tmp))}",')
     for key in sorted(TRAJECTORY_GOLDEN):

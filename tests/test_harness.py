@@ -135,8 +135,6 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
      "environment.dim"),
     (dict(_BCO, algorithm="one_point_bco", horizon=100, environment={}), "environment.dim"),
     (dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 3, "n_blocks": 0}), None),
-    (dict(_TWO_POINT, environment={"kind": "affine_quadratic", "dim": 2, "drift_norm": -1}),
-     None),
     (dict(_MAB, privacy={"epsilon": 1.0}), "privacy.delta"),
     (dict(_MAB, environment={"kind": "stochastic", "means": []}), "environment.means"),
     (dict(_BAI, horizon="ten"), "horizon"),
@@ -163,7 +161,6 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
     (dict(_TWO_POINT, environment=[["dim", 2]]), "environment"),
     (dict(_TWO_POINT, algorithm_params=[["mode", "convex"]]), "algorithm_params"),
     # a key of another kind or privacy mode, accepted and ignored
-    (dict(_TWO_POINT, environment={"dim": 2, "drift_norm": 0.2}), "environment.drift_norm"),
     (dict(_CONTEXTUAL, environment={"dim": 2, "link": "logistic"}), "environment.link"),
     (dict(_CONTEXTUAL, algorithm_params={"zeta": 0.1}), "algorithm_params.zeta"),
     (dict(_CONTEXTUAL, algorithm_params={"kappa": 1.0}), "algorithm_params.kappa"),
@@ -172,7 +169,11 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
      "environment.n_blocks"),
     (dict(_MAB, environment={"kind": "adversarial_switching", "n_arms": 2, "means": [0.5, 0.3]}),
      "environment.means"),
+    # a kind or key that no schema row has
     (dict(_MAB, environment={"kind": "adversarial_fixed_gap", "n_arms": 2}), "environment.kind"),
+    (dict(_TWO_POINT, environment={"dim": 2, "drift_norm": 0.2}), "environment.drift_norm"),
+    (dict(_TWO_POINT, environment={"kind": "affine_quadratic", "dim": 2}), "environment.kind"),
+    (dict(_BAI, algorithm_params={"max_pulls": 50}), "algorithm_params.max_pulls"),
     # rejected with another field's message
     (dict(_TWO_POINT, algorithm_params={"rho": _NAN}), "algorithm_params.rho"),
     (dict(_TWO_POINT, environment={"dim": 2, "radius": _NAN}), "environment.radius"),
@@ -180,16 +181,16 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
         "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
         "bai_negative_eps", "bai_negative_lam", "theta_star_longer_than_dim",
         "x_star_longer_than_dim", "bco_dim_0", "contextual_dim_0", "bco_dim_negative",
-        "bco_no_dim", "switching_no_blocks", "affine_negative_drift", "privacy_no_delta",
-        "mab_no_means", "horizon_not_a_number", "environment_not_an_object",
-        "dim_not_a_number", "eta_not_a_number",
+        "bco_no_dim", "switching_no_blocks", "privacy_no_delta", "mab_no_means",
+        "horizon_not_a_number", "environment_not_an_object", "dim_not_a_number",
+        "eta_not_a_number",
         "kappa_nan", "zeta_negative", "n_arms_fraction", "checkpoints_fraction",
         "horizon_fraction", "replications_bool", "base_seed_fraction", "dim_bool",
         "theta_star_nan", "eta_nan", "scale_infinite", "base_seed_negative",
-        "environment_pairs", "algorithm_params_pairs", "drift_norm_on_quadratic",
-        "link_on_linear", "zeta_on_linear", "kappa_without_privacy",
-        "baseline_lambda_with_privacy", "n_blocks_on_stochastic", "means_on_switching",
-        "fixed_gap_kind", "rho_nan", "radius_nan"])
+        "environment_pairs", "algorithm_params_pairs", "link_on_linear", "zeta_on_linear",
+        "kappa_without_privacy", "baseline_lambda_with_privacy", "n_blocks_on_stochastic",
+        "means_on_switching", "fixed_gap_kind", "drift_norm_on_quadratic", "affine_kind",
+        "max_pulls_on_bai", "rho_nan", "radius_nan"])
 def test_from_dict_rejects_what_a_replication_rejects(doc, field):
     with pytest.raises(ConfigurationError) as err:
         ExperimentConfig.from_dict(doc)
@@ -210,10 +211,8 @@ def test_from_dict_loads_no_sampler():
     # the replication from_dict builds has no streams: checking a config
     # draws nothing and leaves numpy.random out of the process; it forks and
     # hashes nothing either, so the process pool and hashlib stay unloaded
-    affine = {"dim": 2, "kind": "affine_quadratic"}
     docs = [dict(_BCO, algorithm="two_point_bco", horizon=100),
-            dict(_BCO, algorithm="one_point_bco", horizon=100),
-            dict(_BCO, algorithm="one_point_bco", horizon=100, environment=affine), mab_doc(),
+            dict(_BCO, algorithm="one_point_bco", horizon=100), mab_doc(),
             SWITCHING_DOC, BAI_DOC, CONTEXTUAL_LINEAR_DOC, CONTEXTUAL_GLM_DOC]
     proc = _run_script(f"""
         import sys
@@ -279,7 +278,7 @@ class TestRunExperiment:
              "base_seed": 1, "environment": {"dim": 2},
              "privacy": {"epsilon": 1.0, "delta": 1e-5}},
             {"algorithm": "two_point_bco", "horizon": 400, "replications": 1,
-             "base_seed": 1, "environment": {"kind": "affine_quadratic", "dim": 2},
+             "base_seed": 1, "environment": {"kind": "quadratic", "dim": 2},
              "algorithm_params": {"mode": "strongly_convex"}, "privacy": None},
             {"algorithm": "one_point_bco", "horizon": 400, "replications": 1,
              "base_seed": 1, "environment": {"dim": 2}, "privacy": None},
@@ -309,6 +308,29 @@ class TestRunExperiment:
         result = run_bai(config, n_jobs=1)
         assert result["success_rate"] >= 0.9
         assert result["mean_pulls"] > 2
+
+    def test_bai_pulls_capped_at_horizon(self):
+        # two equal arms: the stop rule never separates them, so the
+        # horizon is the pull budget
+        from ldpbandits.harness import run_replication
+
+        config = ExperimentConfig.from_dict({
+            "algorithm": "bai", "horizon": 40, "replications": 1, "base_seed": 5,
+            "environment": {"reward_means": [0.5, 0.5]}, "privacy": None,
+        })
+        row = run_replication(config, 0)
+        assert row["pulls"] == 40
+        assert row["capped"]
+
+    def test_bco_kind_defaults_to_quadratic(self):
+        # the quadratic is the one BCO loss: naming it changes nothing
+        for algorithm in ("two_point_bco", "one_point_bco"):
+            doc = {"algorithm": algorithm, "horizon": 200, "replications": 2, "base_seed": 9,
+                   "environment": {"dim": 2}, "privacy": {"epsilon": 1.0, "delta": 1e-5}}
+            named = dict(doc, environment={"kind": "quadratic", "dim": 2})
+            implicit = run_experiment(ExperimentConfig.from_dict(doc), n_jobs=1)
+            explicit = run_experiment(ExperimentConfig.from_dict(named), n_jobs=1)
+            assert np.array_equal(implicit.per_replication, explicit.per_replication)
 
     def test_bai_requires_bai_runner(self):
         config = ExperimentConfig.from_dict(mab_doc())
@@ -623,8 +645,7 @@ def test_readme_schema_table_is_the_schema():
 
 # a valid value for each required field, and the kinds of each algorithm
 _REQUIRED_VALUES = {"dim": 2, "means": [0.5, 0.3], "n_arms": 3, "reward_means": [0.9, 0.4]}
-_KINDS = {"two_point_bco": ("quadratic", "affine_quadratic"),
-          "one_point_bco": ("quadratic", "affine_quadratic"),
+_KINDS = {"two_point_bco": ("quadratic",), "one_point_bco": ("quadratic",),
           "mab": ("stochastic", "adversarial_switching"), "bai": (None,),
           "contextual_linear": (None,), "contextual_glm": (None,)}
 

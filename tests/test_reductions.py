@@ -30,6 +30,7 @@ from ldpbandits import (
     two_point_round,
     two_point_sigma,
 )
+from ldpbandits.harness import _map_replications, default_jobs
 from ldpbandits.mechanisms import DrawAhead
 
 mpmath.mp.dps = 50
@@ -263,24 +264,32 @@ class TestWrapMab:
 
     def test_huge_epsilon_tracks_nonprivate_regret(self):
         # eps so large the noise is negligible: paired mean regret within 5%
-        horizon = 100_000
-        means = np.array([0.5, 0.3])
-        reps = 16
         totals = {"private": 0.0, "bare": 0.0}
-        weak = PrivacyParams(1e6, 1e-5)
-        for rep in range(reps):
-            env_rng = derive_rng(40 + rep, 0, "environment")
-            draws = env_rng.random((horizon, 2))
-            for label, privacy in (("private", weak), ("bare", None)):
-                learner = LdpMabLearner(privacy, 2, stream(40 + rep, 0, "learner"),
-                                        stream(40 + rep, 0, "noise"))
-                regret = 0.0
-                for t in range(horizon):
-                    arm = learner.propose()
-                    learner.observe(float(draws[t, arm] < means[arm]))
-                    regret += means[arm] - means.min()
+        for regrets in _map_replications(paired_regret, range(16), default_jobs()):
+            for label, regret in zip(totals, regrets):
                 totals[label] += regret
         assert totals["private"] == pytest.approx(totals["bare"], rel=0.05)
+
+
+def paired_regret(rep: int) -> tuple:
+    """(private, bare) regret of replication rep: a nearly noiseless private
+    Tsallis-INF and the bare one, paired on the same draws over 100,000
+    rounds.  At module level, so that the process pool can run it."""
+    horizon = 100_000
+    means = np.array([0.5, 0.3])
+    gaps = means - means.min()
+    draws = derive_rng(40 + rep, 0, "environment").random((horizon, 2))
+    regrets = []
+    for privacy in (PrivacyParams(1e6, 1e-5), None):
+        learner = LdpMabLearner(privacy, 2, stream(40 + rep, 0, "learner"),
+                                stream(40 + rep, 0, "noise"))
+        regret = 0.0
+        for t in range(horizon):
+            arm = learner.propose()
+            learner.observe(float(draws[t, arm] < means[arm]))
+            regret += gaps[arm]
+        regrets.append(regret)
+    return tuple(regrets)
 
 
 class TestWrapBai:
