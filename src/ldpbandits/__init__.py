@@ -65,14 +65,11 @@ from .mechanisms import (
 from .reductions import (
     LdpBaiLearner,
     LdpMabLearner,
-    OnePointConfig,
     PerturbedValue,
-    TwoPointConfig,
+    ScalarReport,
     effective_loss_bound,
     one_point_round,
-    one_point_sigma,
     two_point_round,
-    two_point_sigma,
 )
 
 __version__ = "0.1.0"

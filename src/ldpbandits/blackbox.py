@@ -185,6 +185,13 @@ class TwoPointBandit(_SphereDescent):
         self.mu = float(mu)
         self._pending = False
 
+    @staticmethod
+    def default_parameters(dset: DecisionSet, horizon: int, rho: float | None = None):
+        """Horizon-based schedule: eta = 1/sqrt(T), rho = ln(T)/T, and
+        xi = rho / r for the given rho, or for the default one."""
+        rho = math.log(horizon) / horizon if rho is None else rho
+        return 1.0 / math.sqrt(horizon), rho, rho / dset.radius
+
     def queries(self) -> tuple[list[float], list[float]]:
         """Draw a fresh unit direction and return (y + rho u, y - rho u)."""
         if self._pending:

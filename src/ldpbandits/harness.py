@@ -38,9 +38,8 @@ from .mechanisms import DrawAhead, PrivacyParams, ReportNoise, derive_rng
 from .reductions import (
     LdpBaiLearner,
     LdpMabLearner,
-    OnePointConfig,
     PerturbedValue,
-    TwoPointConfig,
+    ScalarReport,
     effective_loss_bound,
     one_point_round,
     two_point_round,
@@ -315,20 +314,26 @@ def _bco_set_and_oracle(config: ExperimentConfig):
     return dset, QuadraticOracle(x_star, dset, scale=env["scale"])
 
 
+def _schedule(config: ExperimentConfig, defaults) -> list:
+    """The document's eta, rho and xi, each one it leaves out taken from
+    defaults, the learner's default schedule; deriving one needs T >= 2."""
+    given = [config.params[key] for key in ("eta", "rho", "xi")]
+    if None in given and config.horizon < 2:
+        raise ConfigurationError("horizon must be >= 2 for the default schedule")
+    return [default if value is None else value for value, default in zip(given, defaults)]
+
+
 def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    params = config.params
-    t_config = TwoPointConfig.for_horizon(
-        config.privacy, oracle.lipschitz, config.horizon, dset.radius,
-        eta=params["eta"], rho=params["rho"], xi=params["xi"],
-    )
-    mu = oracle.mu if params["mode"] == "strongly_convex" else 0.0
-    learner = TwoPointBandit(dset, t_config.eta, t_config.rho, t_config.xi,
-                             _stream(config, rep, "learner"), mu=mu)
+    report = ScalarReport(config.privacy, oracle.lipschitz)
+    eta, rho, xi = _schedule(config, TwoPointBandit.default_parameters(
+        dset, config.horizon, config.params["rho"]))
+    mu = oracle.mu if config.params["mode"] == "strongly_convex" else 0.0
+    learner = TwoPointBandit(dset, eta, rho, xi, _stream(config, rep, "learner"), mu=mu)
     noise_rng = _stream(config, rep, "noise")
 
     def step(t):
-        result = two_point_round(learner, oracle.value, t_config, noise_rng)
+        result = two_point_round(learner, oracle.value, report, noise_rng)
         return 0.5 * (result.true_loss_1 + result.true_loss_2)
 
     return step, lambda t: oracle.optimum(t)[1]
@@ -336,16 +341,14 @@ def _two_point_setup(config: ExperimentConfig, rep: int | None, record):
 
 def _one_point_setup(config: ExperimentConfig, rep: int | None, record):
     dset, oracle = _bco_set_and_oracle(config)
-    o_config = OnePointConfig(privacy=config.privacy, loss_bound=oracle.bound)
-    bound = effective_loss_bound(oracle.bound, o_config.sigma, config.horizon)
-    schedule = FkmBandit.default_parameters(dset, config.horizon, bound)
-    eta, rho, xi = (default if config.params[key] is None else config.params[key]
-                    for key, default in zip(("eta", "rho", "xi"), schedule))
+    report = ScalarReport(config.privacy, oracle.bound)
+    bound = effective_loss_bound(oracle.bound, report.sigma, config.horizon)
+    eta, rho, xi = _schedule(config, FkmBandit.default_parameters(dset, config.horizon, bound))
     learner = FkmBandit(dset, eta, rho, xi, _stream(config, rep, "learner"))
     noise_rng = _stream(config, rep, "noise")
 
     def step(t):
-        return one_point_round(learner, oracle.value, o_config, noise_rng).true_loss
+        return one_point_round(learner, oracle.value, report, noise_rng).true_loss
 
     return step, lambda t: oracle.optimum(t)[1]
 

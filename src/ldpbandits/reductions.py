@@ -8,7 +8,8 @@ learner.
 Two-point reduction: the user reports the difference of the two observed
 values plus n_t . (x1 - x2) with a fresh n_t ~ N(0, sigma^2 I) and
 sigma = 2 G sqrt(2 ln(1.25/delta)) / epsilon (G is the Lipschitz constant);
-since x1 - x2 = 2 rho u_t the added scalar is N(0, 4 rho^2 sigma^2).
+since x1 - x2 = 2 rho u_t the added scalar is N(0, 4 rho^2 sigma^2).  Both are
+one ScalarReport: a bound (B, or G per unit of query spread) and its sigma.
 
 True losses are returned to the caller for regret bookkeeping only and are
 never exposed to the learner; conversely the perturbed values are wrapped in
@@ -49,20 +50,6 @@ def _unit_report(raw: float, sigma: float, rng: DrawAhead,
     return PerturbedValue(perturb_scalar(float(raw) - 0.5, sigma, rng))
 
 
-def one_point_sigma(privacy: PrivacyParams | None, loss_bound: float) -> float:
-    """sigma = 2 B sqrt(2 ln(1.25/delta)) / epsilon; 0 in baseline mode."""
-    if privacy is None:
-        return 0.0
-    return calibrate_gaussian(privacy, 2.0 * loss_bound)
-
-
-def two_point_sigma(privacy: PrivacyParams | None, lipschitz: float) -> float:
-    """sigma = 2 G sqrt(2 ln(1.25/delta)) / epsilon; 0 in baseline mode."""
-    if privacy is None:
-        return 0.0
-    return calibrate_gaussian(privacy, 2.0 * lipschitz)
-
-
 def effective_loss_bound(loss_bound: float, sigma: float, horizon: int) -> float:
     """Range the black-box should be tuned for once noise is injected.
 
@@ -76,53 +63,20 @@ def effective_loss_bound(loss_bound: float, sigma: float, horizon: int) -> float
 
 
 @dataclass(frozen=True)
-class OnePointConfig:
-    """Noise calibration for the one-point reduction.  privacy=None is the
-    non-private baseline (sigma = 0)."""
+class ScalarReport:
+    """Noise calibration for a scalar report: sigma = 2 bound sqrt(2 ln(1.25/delta))
+    / epsilon, 0 for privacy=None (the non-private baseline).  The bound is B
+    for a one-point report and G per unit of query spread for a two-point one."""
 
     privacy: PrivacyParams | None
-    loss_bound: float
+    bound: float
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        if self.loss_bound <= 0:
-            raise ConfigurationError("loss bound must be positive")
-        object.__setattr__(self, "sigma", one_point_sigma(self.privacy, self.loss_bound))
-
-
-@dataclass(frozen=True)
-class TwoPointConfig:
-    """Noise calibration and schedule for the two-point reduction.
-
-    Defaults follow the horizon-based schedule eta = 1/sqrt(T),
-    rho = ln(T)/T, xi = rho / r.
-    """
-
-    privacy: PrivacyParams | None
-    lipschitz: float
-    horizon: int
-    eta: float
-    rho: float
-    xi: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        if self.lipschitz <= 0:
-            raise ConfigurationError("Lipschitz constant must be positive")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
-        object.__setattr__(self, "sigma", two_point_sigma(self.privacy, self.lipschitz))
-
-    @staticmethod
-    def for_horizon(privacy, lipschitz, horizon, radius,
-                    eta=None, rho=None, xi=None) -> "TwoPointConfig":
-        if horizon < 2:
-            raise ConfigurationError("horizon must be >= 2 for the default schedule")
-        rho = math.log(horizon) / horizon if rho is None else rho
-        eta = 1.0 / math.sqrt(horizon) if eta is None else eta
-        xi = rho / radius if xi is None else xi
-        return TwoPointConfig(privacy=privacy, lipschitz=lipschitz, horizon=horizon,
-                              eta=eta, rho=rho, xi=xi)
+        if self.bound <= 0:
+            raise ConfigurationError("report bound must be positive")
+        sigma = 0.0 if self.privacy is None else calibrate_gaussian(self.privacy, 2.0 * self.bound)
+        object.__setattr__(self, "sigma", sigma)
 
 
 # A round's record holds its query points as arrays; the learners work on
@@ -131,7 +85,7 @@ class TwoPointConfig:
 
 
 class OnePointRound(NamedTuple):
-    action: np.ndarray | int
+    action: np.ndarray
     true_loss: float
     feedback: PerturbedValue
 
@@ -145,7 +99,7 @@ class TwoPointRound(NamedTuple):
 
 
 def one_point_round(learner, loss_fn: Callable[[list[float]], float],
-                    config: OnePointConfig, noise_rng: DrawAhead) -> OnePointRound:
+                    report: ScalarReport, noise_rng: DrawAhead) -> OnePointRound:
     """Play one round of the one-point reduction.
 
     learner must expose propose() -> action and observe(feedback).  loss_fn
@@ -154,37 +108,36 @@ def one_point_round(learner, loss_fn: Callable[[list[float]], float],
     """
     action = learner.propose()
     true_loss = float(loss_fn(action))
-    if abs(true_loss) > config.loss_bound + _BOUND_TOL:
+    if abs(true_loss) > report.bound + _BOUND_TOL:
         raise ContractViolation(
-            f"loss {true_loss} exceeds declared bound {config.loss_bound}; "
+            f"loss {true_loss} exceeds declared bound {report.bound}; "
             "noise calibration would be void"
         )
-    feedback = PerturbedValue(perturb_scalar(true_loss, config.sigma, noise_rng))
+    feedback = PerturbedValue(perturb_scalar(true_loss, report.sigma, noise_rng))
     learner.observe(feedback)
-    if isinstance(action, list):
-        action = np.array(action)
-    return OnePointRound(action=action, true_loss=true_loss, feedback=feedback)
+    return OnePointRound(action=np.array(action), true_loss=true_loss, feedback=feedback)
 
 
 def two_point_round(learner: TwoPointBandit, loss_fn: Callable[[list[float]], float],
-                    config: TwoPointConfig, noise_rng: DrawAhead) -> TwoPointRound:
+                    report: ScalarReport, noise_rng: DrawAhead) -> TwoPointRound:
     """Play one round of the two-point reduction.
 
     The learner receives f(x1) - f(x2) + n . (x1 - x2); the raw difference is
-    checked against the 2 rho G sensitivity bound before perturbation.
+    checked against the 2 rho G sensitivity bound (G = report.bound, rho the
+    learner's) before perturbation.
     x1 - x2 is taken elementwise and the noise dot summed left to right.
     """
     x1, x2 = learner.queries()
     f1 = float(loss_fn(x1))
     f2 = float(loss_fn(x2))
     raw = f1 - f2
-    if abs(raw) > 2.0 * config.rho * config.lipschitz + _BOUND_TOL:
+    if abs(raw) > 2.0 * learner.rho * report.bound + _BOUND_TOL:
         raise ContractViolation(
             f"|f(x1) - f(x2)| = {abs(raw)} exceeds 2 rho G = "
-            f"{2.0 * config.rho * config.lipschitz}; Lipschitz contract breached"
+            f"{2.0 * learner.rho * report.bound}; Lipschitz contract breached"
         )
     direction = list(map(sub, x1, x2))
-    feedback = PerturbedValue(perturb_scalar(raw, config.sigma, noise_rng, direction=direction))
+    feedback = PerturbedValue(perturb_scalar(raw, report.sigma, noise_rng, direction=direction))
     learner.update(feedback)
     return TwoPointRound(x1=np.array(x1), x2=np.array(x2), true_loss_1=f1, true_loss_2=f2,
                          feedback=feedback)
@@ -207,8 +160,7 @@ class LdpMabLearner:
 
     def __init__(self, privacy: PrivacyParams | None, n_arms: int,
                  learner_rng: DrawAhead, noise_rng: DrawAhead):
-        self.config = OnePointConfig(privacy=privacy, loss_bound=MAB_LOSS_BOUND)
-        self.sigma = self.config.sigma
+        self.sigma = ScalarReport(privacy, MAB_LOSS_BOUND).sigma
         self.inner = TsallisInf(n_arms, learner_rng)
         self.noise_rng = noise_rng
         self._pending: tuple[int, float] | None = None
@@ -237,8 +189,7 @@ class LdpBaiLearner:
 
     def __init__(self, privacy: PrivacyParams | None, n_arms: int, gamma: float,
                  noise_rng: DrawAhead, params: LilUcbParams | None = None):
-        self.config = OnePointConfig(privacy=privacy, loss_bound=MAB_LOSS_BOUND)
-        self.sigma = self.config.sigma
+        self.sigma = ScalarReport(privacy, MAB_LOSS_BOUND).sigma
         self.variance_proxy = 0.25 + self.sigma**2
         self.inner = LilUcb(n_arms, gamma, self.variance_proxy, params)
         self.noise_rng = noise_rng

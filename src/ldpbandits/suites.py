@@ -42,10 +42,8 @@ from .mechanisms import (
 )
 from .reductions import (
     MAB_LOSS_BOUND,
-    OnePointConfig,
-    TwoPointConfig,
+    ScalarReport,
     one_point_round,
-    one_point_sigma,
     two_point_round,
 )
 
@@ -219,7 +217,7 @@ def criterion_5(n_jobs):
 
     nonprivate = run_bai(_config("criterion_5_bai_baseline"), n_jobs=n_jobs)
     # lil'UCB's variance proxy, 1/4 for a Bernoulli reward, grows by sigma^2
-    sigma = one_point_sigma(private_config.privacy, MAB_LOSS_BOUND)
+    sigma = ScalarReport(private_config.privacy, MAB_LOSS_BOUND).sigma
     proxy_ratio = (0.25 + sigma**2) / 0.25
     pull_ratio = private["mean_pulls"] / nonprivate["mean_pulls"]
     ratio_ok = 0.5 * proxy_ratio <= pull_ratio <= 1.5 * proxy_ratio
@@ -294,14 +292,14 @@ def _eq_loss(x):
 
 
 def _one_point_pair_identical(seed: int, horizon: int) -> bool:
-    config = OnePointConfig(privacy=_EQ_PRIVACY, loss_bound=2.0)
+    report = ScalarReport(_EQ_PRIVACY, 2.0)
     learner = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, DrawAhead(derive_rng(seed, 0, "learner")))
     noise_rng = DrawAhead(derive_rng(seed, 0, "noise"))
-    wrapped = [one_point_round(learner, _eq_loss, config, noise_rng).action
+    wrapped = [one_point_round(learner, _eq_loss, report, noise_rng).action
                for _ in range(horizon)]
 
     noise_rng = derive_rng(seed, 0, "noise")
-    noise = [noise_rng.normal(0.0, config.sigma) for _ in range(horizon)]
+    noise = [noise_rng.normal(0.0, report.sigma) for _ in range(horizon)]
     bare = FkmBandit(_EQ_BALL, 0.01, 0.05, 0.05, DrawAhead(derive_rng(seed, 0, "learner")))
     for t in range(horizon):
         x = bare.propose()
@@ -312,19 +310,18 @@ def _one_point_pair_identical(seed: int, horizon: int) -> bool:
 
 
 def _two_point_pair_identical(seed: int, horizon: int) -> bool:
-    config = TwoPointConfig.for_horizon(_EQ_PRIVACY, 3.0, horizon, 1.0, rho=0.05, xi=0.05)
-    learner = TwoPointBandit(_EQ_BALL, config.eta, config.rho, config.xi,
-                             DrawAhead(derive_rng(seed, 1, "learner")))
+    report = ScalarReport(_EQ_PRIVACY, 3.0)
+    eta = TwoPointBandit.default_parameters(_EQ_BALL, horizon)[0]
+    learner = TwoPointBandit(_EQ_BALL, eta, 0.05, 0.05, DrawAhead(derive_rng(seed, 1, "learner")))
     noise_rng = DrawAhead(derive_rng(seed, 1, "noise"))
     wrapped = []
     for _ in range(horizon):
-        result = two_point_round(learner, _eq_loss, config, noise_rng)
+        result = two_point_round(learner, _eq_loss, report, noise_rng)
         wrapped.append((result.x1, result.x2))
 
     noise_rng = derive_rng(seed, 1, "noise")
-    noise = [noise_rng.normal(0.0, config.sigma, size=3) for _ in range(horizon)]
-    bare = TwoPointBandit(_EQ_BALL, config.eta, config.rho, config.xi,
-                          DrawAhead(derive_rng(seed, 1, "learner")))
+    noise = [noise_rng.normal(0.0, report.sigma, size=3) for _ in range(horizon)]
+    bare = TwoPointBandit(_EQ_BALL, eta, 0.05, 0.05, DrawAhead(derive_rng(seed, 1, "learner")))
     for t in range(horizon):
         x1, x2 = bare.queries()
         if not (np.array_equal(x1, wrapped[t][0]) and np.array_equal(x2, wrapped[t][1])):
@@ -390,7 +387,7 @@ def criterion_10(n_jobs):
             msens * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mdelta)) / meps,
         ))
         worst = max(worst, rel(
-            one_point_sigma(privacy, sens),
+            ScalarReport(privacy, sens).sigma,
             2 * msens * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mdelta)) / meps,
         ))
         worst = max(worst, rel(

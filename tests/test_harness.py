@@ -117,7 +117,8 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
 # (document, the section.field its error names; None where a constructor's
 # message speaks for it)
 @pytest.mark.parametrize("doc, field", [
-    (dict(_BCO, algorithm="two_point_bco", horizon=1), None),
+    (dict(_BCO, algorithm="two_point_bco", horizon=1), "horizon"),
+    (dict(_BCO, algorithm="one_point_bco", horizon=1), "horizon"),
     (dict(_BCO, algorithm="one_point_bco", horizon=100, algorithm_params={"eta": -1}), None),
     (dict(_BAI, algorithm_params={"gamma": 2.0}), None),
     (dict(_CONTEXTUAL, algorithm_params={"alpha": 2.0}), None),
@@ -177,7 +178,7 @@ _GLM = dict(_CONTEXTUAL, algorithm="contextual_glm", privacy=_PRIVATE)
     # rejected with another field's message
     (dict(_TWO_POINT, algorithm_params={"rho": _NAN}), "algorithm_params.rho"),
     (dict(_TWO_POINT, environment={"dim": 2, "radius": _NAN}), "environment.radius"),
-], ids=["two_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
+], ids=["two_point_horizon_1", "one_point_horizon_1", "one_point_negative_eta", "bai_gamma_2",
         "baseline_alpha_2", "baseline_lambda_0", "bai_no_pulls", "bai_mean_above_1",
         "bai_negative_eps", "bai_negative_lam", "theta_star_longer_than_dim",
         "x_star_longer_than_dim", "bco_dim_0", "contextual_dim_0", "bco_dim_negative",
@@ -198,6 +199,25 @@ def test_from_dict_rejects_what_a_replication_rejects(doc, field):
         assert field in str(err.value)
     # no TypeError or ValueError is wrapped: the schema names every wrong type
     assert err.value.__cause__ is None
+
+
+@pytest.mark.parametrize("algorithm", ["two_point_bco", "one_point_bco"])
+def test_horizon_1_runs_on_a_given_schedule(algorithm):
+    # no default is derived, so no horizon of 2 is needed
+    doc = dict(_BCO, algorithm=algorithm, horizon=1,
+               algorithm_params={"eta": 0.1, "rho": 0.1, "xi": 0.1})
+    trace = run_experiment(ExperimentConfig.from_dict(doc), n_jobs=1)
+    assert trace.per_replication.shape == (1, 1)
+
+
+def test_default_xi_is_each_learners_own():
+    # two-point: xi = the document's rho / r, so rho = 0.5 is feasible;
+    # one-point: xi = FKM's default rho / r = T^(-1/4), so rho = 0.5 > xi * r
+    # = 0.316 is infeasible
+    doc = dict(_BCO, horizon=100, algorithm_params={"rho": 0.5})
+    ExperimentConfig.from_dict(dict(doc, algorithm="two_point_bco"))
+    with pytest.raises(ConfigurationError, match="infeasible"):
+        ExperimentConfig.from_dict(dict(doc, algorithm="one_point_bco"))
 
 
 def test_integral_float_horizon_is_an_int_with_the_same_digest():

@@ -17,11 +17,10 @@ from ldpbandits import (
     DrawAhead,
     LdpBaiLearner,
     LdpMabLearner,
-    OnePointConfig,
     PrivacyParams,
     ReportNoise,
+    ScalarReport,
     TwoPointBandit,
-    TwoPointConfig,
     calibrate_gaussian,
     derive_rng,
     glm_local_report,
@@ -388,10 +387,11 @@ class TestDrawAhead:
 class FedRecorder:
     """A stand-in black box with fixed queries and arm draws that keeps the
     values a private wrapper hands it (the fed value is update's second
-    argument for the MAB and BAI learners, the only one otherwise)."""
+    argument for the MAB and BAI learners, the only one otherwise).  rho is
+    the learner's exploration radius, which the two-point guard reads."""
 
-    def __init__(self, x1=None, x2=None):
-        self.x1, self.x2 = x1, x2
+    def __init__(self, x1=None, x2=None, rho=None):
+        self.x1, self.x2, self.rho = x1, x2, rho
         self.fed = []
 
     def propose(self):
@@ -419,22 +419,22 @@ class FedRecorder:
 
 
 def one_point_path(privacy, rng):
-    config = OnePointConfig(privacy=privacy, loss_bound=2.0)
+    report = ScalarReport(privacy, 2.0)
     learner = FedRecorder(np.array([0.3, -0.2]))
-    rnd = one_point_round(learner, lambda x: float(x @ x), config, DrawAhead(rng))
+    rnd = one_point_round(learner, lambda x: float(x @ x), report, DrawAhead(rng))
     clean = (rnd.true_loss,)
     return learner.fed, clean, lambda twin: (
-        perturb_scalar(clean[0], config.sigma, DrawAhead(twin)),)
+        perturb_scalar(clean[0], report.sigma, DrawAhead(twin)),)
 
 
 def two_point_path(privacy, rng):
-    config = TwoPointConfig.for_horizon(privacy, 3.0, 100, 1.0, rho=0.05, xi=0.05)
+    report = ScalarReport(privacy, 3.0)
     x1, x2 = np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.3])
-    learner = FedRecorder(x1, x2)
-    rnd = two_point_round(learner, lambda x: float(x.sum()), config, DrawAhead(rng))
+    learner = FedRecorder(x1, x2, rho=0.05)
+    rnd = two_point_round(learner, lambda x: float(x.sum()), report, DrawAhead(rng))
     clean = (rnd.true_loss_1 - rnd.true_loss_2,)
     return learner.fed, clean, lambda twin: (
-        perturb_scalar(clean[0], config.sigma, DrawAhead(twin), direction=(x1 - x2).tolist()),)
+        perturb_scalar(clean[0], report.sigma, DrawAhead(twin), direction=(x1 - x2).tolist()),)
 
 
 def mab_path(privacy, rng):

@@ -12,23 +12,21 @@ import numpy as np
 import pytest
 
 from ldpbandits import (
+    ConfigurationError,
     ContractViolation,
     DecisionSet,
     FkmBandit,
     LdpBaiLearner,
     LdpMabLearner,
-    OnePointConfig,
     PerturbedValue,
     PrivacyParams,
+    ScalarReport,
     TsallisInf,
     TwoPointBandit,
-    TwoPointConfig,
     derive_rng,
     effective_loss_bound,
     one_point_round,
-    one_point_sigma,
     two_point_round,
-    two_point_sigma,
 )
 from ldpbandits.harness import _map_replications, default_jobs
 from ldpbandits.mechanisms import DrawAhead
@@ -48,31 +46,30 @@ def quad_loss(x):
 
 
 class TestSigmas:
-    def test_one_point_formula(self):
-        expected = float(
-            2 * mpmath.mpf("0.7") * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mpmath.mpf("1e-5")))
-        )
-        assert one_point_sigma(PRIVACY, 0.7) == pytest.approx(expected, rel=1e-12)
+    # (epsilon, bound): a one-point B of 0.7, a two-point G of 3.0, the
+    # MAB/BAI B = 0.5 (sigma = sqrt(2 ln(1.25/delta)) / eps ~= 4.8448) and
+    # the non-private baseline, whose sigma is 0
+    @pytest.mark.parametrize("epsilon, bound", [(1.0, 0.7), (2.0, 3.0), (1.0, 0.5), (None, 1.0)],
+                             ids=["one_point", "two_point", "mab", "baseline"])
+    def test_scalar_report_sigma(self, epsilon, bound):
+        privacy = None if epsilon is None else PrivacyParams(epsilon, 1e-5)
+        expected = 0.0 if privacy is None else float(2 * mpmath.mpf(bound) * mpmath.sqrt(
+            2 * mpmath.log(mpmath.mpf("1.25") / mpmath.mpf("1e-5"))) / mpmath.mpf(epsilon))
+        assert ScalarReport(privacy, bound).sigma == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_two_point_formula(self):
-        expected = float(
-            2 * 3 * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mpmath.mpf("1e-5"))) / 2
-        )
-        assert two_point_sigma(PrivacyParams(2.0, 1e-5), 3.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_baseline_sigma_zero(self):
-        assert one_point_sigma(None, 1.0) == 0.0
-        assert two_point_sigma(None, 1.0) == 0.0
-
-    def test_mab_sigma_example(self):
-        # B = 0.5 gives sigma = sqrt(2 ln(1.25/delta)) / eps ~= 4.8448
-        assert one_point_sigma(PRIVACY, 0.5) == pytest.approx(4.8448, abs=1e-4)
+    def test_nonpositive_bound_rejected(self):
+        for bound in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                ScalarReport(PRIVACY, bound)
 
     def test_default_two_point_schedule(self):
-        config = TwoPointConfig.for_horizon(PRIVACY, 1.0, 100_000, 1.0)
-        assert config.eta == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-12)
-        assert config.rho == pytest.approx(math.log(100_000) / 100_000, rel=1e-12)
-        assert config.xi == pytest.approx(config.rho, rel=1e-12)
+        eta, rho, xi = TwoPointBandit.default_parameters(BALL_3D, 100_000)
+        assert eta == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-12)
+        assert rho == pytest.approx(math.log(100_000) / 100_000, rel=1e-12)
+        assert xi == pytest.approx(rho, rel=1e-12)
+        # a given rho sets xi = rho / r
+        assert TwoPointBandit.default_parameters(DecisionSet.ball(2.0, dim=2), 100, 0.5) == (
+            0.1, 0.5, 0.25)
 
     def test_effective_bound(self):
         assert effective_loss_bound(1.0, 0.0, 1000) == 1.0
@@ -82,13 +79,13 @@ class TestSigmas:
 
 
 def run_wrapped_one_point(seed, horizon, privacy):
-    config = OnePointConfig(privacy=privacy, loss_bound=2.0)
+    report = ScalarReport(privacy, 2.0)
     learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(seed, 0, "learner"))
     noise_rng = stream(seed, 0, "noise")
     trajectory = []
     for t in range(1, horizon + 1):
-        result = one_point_round(learner, quad_loss, config, noise_rng)
-        trajectory.append(np.asarray(result.action))
+        result = one_point_round(learner, quad_loss, report, noise_rng)
+        trajectory.append(result.action)
     return np.vstack(trajectory)
 
 
@@ -107,7 +104,7 @@ class TestOnePointEquivalence:
     def test_wrapped_equals_pseudo_loss_run(self, seed):
         horizon = 200
         wrapped = run_wrapped_one_point(seed, horizon, PRIVACY)
-        sigma = one_point_sigma(PRIVACY, 2.0)
+        sigma = ScalarReport(PRIVACY, 2.0).sigma
         noise_rng = derive_rng(seed, 0, "noise")
         noise = [noise_rng.normal(0.0, sigma) for _ in range(horizon)]
         bare = run_bare_one_point_on_pseudo_losses(seed, horizon, noise)
@@ -121,49 +118,48 @@ class TestOnePointEquivalence:
         assert np.array_equal(wrapped, bare)
 
     def test_feedback_minus_true_loss_moments(self):
-        config = OnePointConfig(privacy=PRIVACY, loss_bound=2.0)
+        report = ScalarReport(PRIVACY, 2.0)
         learner = FkmBandit(BALL_3D, 0.001, 0.05, 0.05, stream(3, 0, "learner"))
         noise_rng = stream(3, 0, "noise")
         diffs = []
         for _ in range(100_000):
-            result = one_point_round(learner, quad_loss, config, noise_rng)
+            result = one_point_round(learner, quad_loss, report, noise_rng)
             diffs.append(result.feedback - result.true_loss)
         diffs = np.asarray(diffs)
-        sigma = config.sigma
+        sigma = report.sigma
         assert abs(diffs.mean()) < 4 * sigma / math.sqrt(diffs.size)
         assert abs(diffs.var() / sigma**2 - 1.0) < 0.05
 
     def test_sensitivity_guard(self):
         # any first query has loss >= (0.3 - 0.05)^2 = 0.0625 > 0.01
-        config = OnePointConfig(privacy=PRIVACY, loss_bound=0.01)
+        report = ScalarReport(PRIVACY, 0.01)
         learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(0, 0, "learner"))
         with pytest.raises(ContractViolation):
-            one_point_round(learner, quad_loss, config, stream(0, 0, "noise"))
+            one_point_round(learner, quad_loss, report, stream(0, 0, "noise"))
 
     def test_feedback_is_tainted(self):
-        config = OnePointConfig(privacy=None, loss_bound=2.0)
+        report = ScalarReport(None, 2.0)
         learner = FkmBandit(BALL_3D, 0.01, 0.05, 0.05, stream(1, 0, "learner"))
-        result = one_point_round(learner, quad_loss, config, stream(1, 0, "noise"))
+        result = one_point_round(learner, quad_loss, report, stream(1, 0, "noise"))
         assert isinstance(result.feedback, PerturbedValue)
         assert not isinstance(result.true_loss, PerturbedValue)
 
 
 def make_two_point(seed, privacy, horizon=300):
-    config = TwoPointConfig.for_horizon(privacy, 3.0, horizon, 1.0, rho=0.05, xi=0.05)
-    learner = TwoPointBandit(BALL_3D, config.eta, config.rho, config.xi,
-                             stream(seed, 1, "learner"))
-    return config, learner
+    eta = TwoPointBandit.default_parameters(BALL_3D, horizon)[0]
+    learner = TwoPointBandit(BALL_3D, eta, 0.05, 0.05, stream(seed, 1, "learner"))
+    return ScalarReport(privacy, 3.0), learner
 
 
 class TestTwoPointEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_wrapped_equals_pseudo_loss_run(self, seed):
         horizon = 200
-        config, learner = make_two_point(seed, PRIVACY, horizon)
+        report, learner = make_two_point(seed, PRIVACY, horizon)
         noise_rng = stream(seed, 1, "noise")
         wrapped = []
         for t in range(1, horizon + 1):
-            result = two_point_round(learner, quad_loss, config, noise_rng)
+            result = two_point_round(learner, quad_loss, report, noise_rng)
             wrapped.append(np.concatenate([result.x1, result.x2]))
         wrapped = np.vstack(wrapped)
 
@@ -172,7 +168,7 @@ class TestTwoPointEquivalence:
         # wrap produces (n_t . (x1 - x2) summed left to right), which is the
         # pseudo-loss difference exactly.
         noise_rng = derive_rng(seed, 1, "noise")
-        noise = [noise_rng.normal(0.0, config.sigma, size=3) for _ in range(horizon)]
+        noise = [noise_rng.normal(0.0, report.sigma, size=3) for _ in range(horizon)]
         _, bare = make_two_point(seed, PRIVACY, horizon)
         trajectory = []
         for t in range(1, horizon + 1):
@@ -192,11 +188,11 @@ class TestTwoPointEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_zero_noise_is_bare_trajectory(self, seed):
         horizon = 200
-        config, learner = make_two_point(seed, None, horizon)
+        report, learner = make_two_point(seed, None, horizon)
         noise_rng = stream(seed, 1, "noise")
         wrapped = []
         for t in range(1, horizon + 1):
-            result = two_point_round(learner, quad_loss, config, noise_rng)
+            result = two_point_round(learner, quad_loss, report, noise_rng)
             wrapped.append(np.concatenate([result.x1, result.x2]))
 
         _, bare = make_two_point(seed, None, horizon)
@@ -207,22 +203,21 @@ class TestTwoPointEquivalence:
 
     def test_perturbation_variance(self):
         # n . (x1 - x2) has variance 4 rho^2 sigma^2
-        config, learner = make_two_point(0, PRIVACY, 200_000)
+        report, learner = make_two_point(0, PRIVACY, 200_000)
         noise_rng = stream(0, 1, "noise")
         vals = []
         for _ in range(100_000):
-            result = two_point_round(learner, quad_loss, config, noise_rng)
+            result = two_point_round(learner, quad_loss, report, noise_rng)
             raw = result.true_loss_1 - result.true_loss_2
             vals.append(result.feedback - raw)
-        expected = 4.0 * config.rho**2 * config.sigma**2
+        expected = 4.0 * learner.rho**2 * report.sigma**2
         assert np.var(vals) == pytest.approx(expected, rel=0.05)
 
     def test_lipschitz_guard(self):
-        config = TwoPointConfig.for_horizon(PRIVACY, 0.01, 100, 1.0, rho=0.05, xi=0.05)
-        learner = TwoPointBandit(BALL_3D, config.eta, config.rho, config.xi,
-                                 stream(0, 1, "learner"))
+        # the guard reads rho from the learner: 2 * 0.05 * 0.01 = 0.001
+        learner = TwoPointBandit(BALL_3D, 0.1, 0.05, 0.05, stream(0, 1, "learner"))
         with pytest.raises(ContractViolation):
-            two_point_round(learner, quad_loss, config, stream(0, 1, "noise"))
+            two_point_round(learner, quad_loss, ScalarReport(PRIVACY, 0.01), stream(0, 1, "noise"))
 
 
 class TestWrapMab:
@@ -299,7 +294,7 @@ class TestWrapBai:
 
     def test_inflated_proxy_example(self):
         learner = LdpBaiLearner(PRIVACY, 3, 0.1, stream(0, 0, "noise"))
-        sigma_sq = one_point_sigma(PRIVACY, 0.5) ** 2
+        sigma_sq = ScalarReport(PRIVACY, 0.5).sigma ** 2
         assert learner.variance_proxy == pytest.approx(0.25 + sigma_sq, rel=1e-12)
         assert learner.variance_proxy == pytest.approx(23.72, abs=0.01)
 
